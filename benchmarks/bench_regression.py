@@ -64,20 +64,12 @@ DIRECTIONS = {
     # (1.0 = free; the acceptance envelope is <= 1.05 on the committing
     # machine, gated here at baseline * (1 + threshold) for CI noise)
     "guard_overhead_ratio": "lower",
-    # ABL-TAINT: whole-repo taint analysis; the warm ratio is the whole
-    # point of the content-hash cache (an unchanged tree must be
+    # ABL-ANALYZE: the one interprocedural driver over the whole repo
+    # (lowering once, then the TNT/CON/LIF packs); the warm ratio is
+    # the point of the content-hash cache (an unchanged tree must be
     # near-free), so a ratio drift is a cache regression
-    "taint_cold_norm": "lower",
-    "taint_warm_ratio": "lower",
-    # ABL-CONC: whole-repo concurrency analysis (the CON3xx CI gate);
-    # same shape as the taint gate — the warm ratio guards the
-    # content-hash cache
-    "conc_cold_norm": "lower",
-    "conc_warm_ratio": "lower",
-    # ABL-LIFE: whole-repo async-lifecycle analysis (the LIF4xx CI
-    # gate); same cold/warm shape over the v4 IR
-    "lif_cold_norm": "lower",
-    "lif_warm_ratio": "lower",
+    "analyze_cold_norm": "lower",
+    "analyze_warm_ratio": "lower",
     # ABL-DUR: journaled commits and recovery replay on the in-memory
     # crash-model filesystem (CPU-bound, so the ratios are stable;
     # real fsync latency would just measure the runner's disk)
@@ -254,88 +246,34 @@ def run_benchmarks() -> dict:
         raise SystemExit("audit bench workload lost its signatures")
     audit_time = measure(audit_once, warmup=1, repeat=5)
 
-    # ABL-TAINT: whole-repo taint analysis, cold vs. content-hash warm.
+    # ABL-ANALYZE: the one interprocedural driver, cold vs. memoized.
     import shutil
     import tempfile
 
-    from repro.analysis import TaintCache, analyze_paths
+    from repro.analysis.interproc import AnalysisCache, analyze_paths
 
     src_root = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "src",
     )
-    cache_dir = tempfile.mkdtemp(prefix="taint-bench-")
+    cache_dir = tempfile.mkdtemp(prefix="analyze-bench-")
     cache_path = os.path.join(cache_dir, "cache.json")
     try:
-        def taint_cold():
+        def analyze_cached():
+            return analyze_paths([src_root], cache=AnalysisCache(cache_path))
+
+        def analyze_cold():
             if os.path.exists(cache_path):
                 os.remove(cache_path)
-            return analyze_paths([src_root],
-                                 cache=TaintCache(cache_path))
+            return analyze_cached()
 
-        if taint_cold().scanned < 100:
-            raise SystemExit("taint bench workload lost its modules")
-        taint_cold_time = measure(taint_cold, warmup=0, repeat=3)
-        taint_cold()  # leave a populated cache behind for the warm runs
-        taint_warm_time = measure(
-            lambda: analyze_paths([src_root],
-                                  cache=TaintCache(cache_path)),
-            warmup=1, repeat=3,
-        )
+        if analyze_cold().scanned < 100:
+            raise SystemExit("analyze bench workload lost its modules")
+        analyze_cold_time = measure(analyze_cold, warmup=0, repeat=3)
+        analyze_cold()  # leave a populated cache behind for the warm runs
+        analyze_warm_time = measure(analyze_cached, warmup=1, repeat=3)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-
-    # ABL-CONC: whole-repo concurrency analysis, cold vs. warm.
-    from repro.analysis import ConcurrencyCache
-    from repro.analysis.concurrency import analyze_paths as conc_paths
-
-    conc_cache_dir = tempfile.mkdtemp(prefix="conc-bench-")
-    conc_cache_path = os.path.join(conc_cache_dir, "cache.json")
-    try:
-        def conc_cold():
-            if os.path.exists(conc_cache_path):
-                os.remove(conc_cache_path)
-            cache = ConcurrencyCache(conc_cache_path)
-            return conc_paths([src_root], cache=cache)
-
-        if conc_cold().scanned < 100:
-            raise SystemExit("conc bench workload lost its modules")
-        conc_cold_time = measure(conc_cold, warmup=0, repeat=3)
-        conc_cold()  # leave a populated cache for the warm runs
-
-        def conc_warm():
-            cache = ConcurrencyCache(conc_cache_path)
-            return conc_paths([src_root], cache=cache)
-
-        conc_warm_time = measure(conc_warm, warmup=1, repeat=3)
-    finally:
-        shutil.rmtree(conc_cache_dir, ignore_errors=True)
-
-    # ABL-LIFE: whole-repo async-lifecycle analysis, cold vs. warm.
-    from repro.analysis import LifecycleCache
-    from repro.analysis.lifecycle import analyze_paths as life_paths
-
-    life_cache_dir = tempfile.mkdtemp(prefix="life-bench-")
-    life_cache_path = os.path.join(life_cache_dir, "cache.json")
-    try:
-        def life_cold():
-            if os.path.exists(life_cache_path):
-                os.remove(life_cache_path)
-            cache = LifecycleCache(life_cache_path)
-            return life_paths([src_root], cache=cache)
-
-        if life_cold().scanned < 100:
-            raise SystemExit("lifecycle bench workload lost its modules")
-        life_cold_time = measure(life_cold, warmup=0, repeat=3)
-        life_cold()  # leave a populated cache for the warm runs
-
-        def life_warm():
-            cache = LifecycleCache(life_cache_path)
-            return life_paths([src_root], cache=cache)
-
-        life_warm_time = measure(life_warm, warmup=1, repeat=3)
-    finally:
-        shutil.rmtree(life_cache_dir, ignore_errors=True)
 
     # ABL-DUR: journaled commits + recovery replay.  Runs against the
     # in-memory CrashableFilesystem so the workload is pure CPU
@@ -389,12 +327,8 @@ def run_benchmarks() -> dict:
             "c14n_manifest_norm": c14n_time / calibration,
             "sign_detached_norm": sign_time / calibration,
             "audit_8sig_norm": audit_time / calibration,
-            "taint_cold_norm": taint_cold_time / calibration,
-            "taint_warm_ratio": taint_warm_time / taint_cold_time,
-            "conc_cold_norm": conc_cold_time / calibration,
-            "conc_warm_ratio": conc_warm_time / conc_cold_time,
-            "lif_cold_norm": life_cold_time / calibration,
-            "lif_warm_ratio": life_warm_time / life_cold_time,
+            "analyze_cold_norm": analyze_cold_time / calibration,
+            "analyze_warm_ratio": analyze_warm_time / analyze_cold_time,
             "journal_commit_norm": journal_commit_time / calibration,
             "recovery_norm": recovery_time / calibration,
             "xkms_p99_norm": fleet.p99,
@@ -408,12 +342,8 @@ def run_benchmarks() -> dict:
             "c14n_manifest": c14n_time,
             "sign_detached": sign_time,
             "audit_8sig": audit_time,
-            "taint_cold": taint_cold_time,
-            "taint_warm": taint_warm_time,
-            "conc_cold": conc_cold_time,
-            "conc_warm": conc_warm_time,
-            "lif_cold": life_cold_time,
-            "lif_warm": life_warm_time,
+            "analyze_cold": analyze_cold_time,
+            "analyze_warm": analyze_warm_time,
             "journal_commit_50": journal_commit_time,
             "recovery_50": recovery_time,
         },

@@ -1,6 +1,6 @@
 """Static security analysis: artifact auditor + codebase linter.
 
-Two frontends over one rule engine (stable IDs, severities, baseline
+Three frontends over one rule engine (stable IDs, severities, baseline
 suppression, text/JSON reporters):
 
 * :mod:`repro.analysis.artifact` — audits signed/encrypted disc
@@ -11,57 +11,35 @@ suppression, text/JSON reporters):
   Python AST: revision-stamp propagation, no HMAC memoization,
   constant-time comparisons, injected clocks, provider-only
   primitives, typed-errors-only on untrusted paths.
-* :mod:`repro.analysis.taint` — interprocedural taint-flow analysis
-  over the call graph: untrusted bytes must not reach script
-  execution/playback/network unverified, and key material must not
-  reach logs, ``repr`` output, exception text or cache keys
-  (TNT2xx rules), with content-hash-keyed incremental caching.
-* :mod:`repro.analysis.concurrency` — interprocedural concurrency
-  safety over the same call graph: guarded-by inference for the shared
-  security state (TrustStore, caches, provider registry, breaker/
-  degradation state), check-then-act atomicity, lock discipline, and
-  the asyncio-readiness gate (CON3xx rules), with its own incremental
-  cache.
-* :mod:`repro.analysis.lifecycle` — interprocedural async lifecycle
-  and exception-flow analysis over the v4 call graph: orphaned task
-  handles, broad excepts swallowing ``CancelledError``, awaits under
-  threading locks, deadline-propagation proofs along the async service
-  chain, and exception-unsafe resource/slot releases (LIF4xx rules),
-  with its own incremental cache.
+* :mod:`repro.analysis.interproc` — one driver for the three
+  interprocedural rule packs: it lowers the tree to the callgraph IR
+  once, through one content-hash cache, and runs over it
+  :mod:`~repro.analysis.taint` (TNT2xx: untrusted bytes must not reach
+  script execution/playback/network unverified, key material must not
+  reach logs, ``repr`` output, exception text or cache keys),
+  :mod:`~repro.analysis.concurrency` (CON3xx: guarded-by inference for
+  the shared security state, check-then-act atomicity, lock
+  discipline, blocking calls under async roots) and
+  :mod:`~repro.analysis.lifecycle` (LIF4xx: orphaned task handles,
+  swallowed ``CancelledError``, awaits under threading locks,
+  deadline-propagation proofs, exception-unsafe releases).
 
-CLI: ``python -m repro.tools audit|lint|taint|concurrency|lifecycle``.
+CLI: ``python -m repro.tools audit|lint|analyze``.
 """
 
 from repro.analysis.artifact import ArtifactAuditor, audit_paths
 from repro.analysis.astlint import lint_paths, lint_source
 from repro.analysis.baseline import Baseline
-from repro.analysis.concurrency import (
-    analyze_modules as analyze_concurrency_modules,
-    analyze_paths as analyze_concurrency_paths,
-    analyze_source as analyze_concurrency_source,
-)
-from repro.analysis.conccache import ConcurrencyCache
 from repro.analysis.engine import Rule, all_rules, catalog_lines, get_rule
 from repro.analysis.findings import AnalysisResult, Finding, Severity
-from repro.analysis.lifecycle import (
-    analyze_modules as analyze_lifecycle_modules,
-    analyze_paths as analyze_lifecycle_paths,
-    analyze_source as analyze_lifecycle_source,
-)
-from repro.analysis.lifecache import LifecycleCache
-from repro.analysis.report import render_json, render_text, summary_line
-from repro.analysis.taint import (
+from repro.analysis.interproc import (
     analyze_modules, analyze_paths, analyze_source,
 )
-from repro.analysis.taintcache import TaintCache
+from repro.analysis.report import render_json, render_text, summary_line
 
 __all__ = [
-    "AnalysisResult", "ArtifactAuditor", "Baseline", "ConcurrencyCache",
-    "Finding", "LifecycleCache", "Rule", "Severity", "TaintCache",
-    "all_rules", "analyze_concurrency_modules",
-    "analyze_concurrency_paths", "analyze_concurrency_source",
-    "analyze_lifecycle_modules", "analyze_lifecycle_paths",
-    "analyze_lifecycle_source", "analyze_modules", "analyze_paths",
+    "AnalysisResult", "ArtifactAuditor", "Baseline", "Finding", "Rule",
+    "Severity", "all_rules", "analyze_modules", "analyze_paths",
     "analyze_source", "audit_paths", "catalog_lines", "get_rule",
     "lint_paths", "lint_source", "render_json", "render_text",
     "summary_line",

@@ -4,7 +4,8 @@ A baseline file is a JSON list of finding fingerprints (plus enough
 context to stay reviewable in a diff).  Runs subtract the baseline
 before computing their exit code, so pre-existing debt does not block
 CI while every *new* finding does.  ``--update-baseline`` rewrites the
-file from the current findings.
+file from the current findings, keeping the ``justification`` of every
+entry it accepts again.
 """
 
 from __future__ import annotations
@@ -45,19 +46,32 @@ class Baseline:
         return cls(fingerprints={f.fingerprint for f in findings})
 
     def save(self, path: str, findings: list[Finding]) -> None:
-        """Write *findings* as the new accepted set (sorted, reviewable)."""
-        entries = sorted(
-            (
-                {
-                    "fingerprint": f.fingerprint,
-                    "rule_id": f.rule_id,
-                    "location": f.location,
-                    "message": f.message,
-                }
-                for f in findings
-            ),
-            key=lambda e: e["fingerprint"],
-        )
+        """Write *findings* as the new accepted set (sorted, reviewable).
+
+        A fingerprint already accepted in *path* keeps its
+        ``justification``; the others are written without one.
+        """
+        justifications = {}
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                for entry in json.load(handle).get("findings", []):
+                    if entry.get("justification"):
+                        justifications[entry["fingerprint"]] = \
+                            entry["justification"]
+        except (OSError, ValueError):
+            pass
+        entries = []
+        for f in findings:
+            entry = {
+                "fingerprint": f.fingerprint,
+                "rule_id": f.rule_id,
+                "location": f.location,
+                "message": f.message,
+            }
+            if f.fingerprint in justifications:
+                entry["justification"] = justifications[f.fingerprint]
+            entries.append(entry)
+        entries.sort(key=lambda e: e["fingerprint"])
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"version": FORMAT_VERSION, "findings": entries},
                       handle, indent=2, sort_keys=True)

@@ -11,7 +11,7 @@ The taint engine needs three things the per-file AST linter never did:
   taint propagation cares about.
 
 The IR is deliberately JSON-serializable (nested lists of strings and
-ints) so :mod:`repro.analysis.taintcache` can persist it keyed by
+ints) so :mod:`repro.analysis.interproc` can persist it keyed by
 content hash and warm runs skip ``ast`` entirely.
 
 IR expression forms::
@@ -639,6 +639,20 @@ def _extract_nested(func, module: str, cls: str | None,
             out.append(_function_ir(node, module, cls))
 
 
+def receiver_hint(recv, dotted: str) -> str:
+    """The name a method call's receiver goes by (``cache`` for
+    ``self.cache.get(k)``), or ``""`` for a plain call."""
+    if recv is None:
+        return ""
+    if recv[0] == "name":
+        return recv[1]
+    if recv[0] == "attr":
+        return recv[2]
+    if "." in dotted:
+        return dotted.rsplit(".", 2)[-2]
+    return ""
+
+
 # -- the resolved program -----------------------------------------------------
 
 
@@ -741,6 +755,44 @@ class Program:
         """The only definition of *name* across the program, if unique."""
         qnames = self.methods_by_name.get(name, [])
         return qnames[0] if len(qnames) == 1 else None
+
+    def resolve_callee(self, module: str, dotted: str,
+                       var_types: dict[str, tuple],
+                       current_class: str | None,
+                       opaque: frozenset) -> str | None:
+        """Callee function qname for the whole-program walks.
+
+        :meth:`resolve` first (a class maps to its ``__init__``); when
+        that fails, the unique definition of the call's short name —
+        filtered to modules *module* imports when several exist — unless
+        the name is in the caller's *opaque* set.  This is how
+        ``self.verifier.verify`` finds ``Verifier.verify``.
+        """
+        if not dotted:
+            return None
+        qname = self.resolve(module, dotted, var_types, current_class)
+        if qname is not None:
+            if qname in self.functions:
+                return qname
+            init = f"{qname}.__init__"
+            return init if init in self.functions else None
+        short = dotted.rsplit(".", 1)[-1]
+        if short in opaque:
+            return None
+        candidates = self.methods_by_name.get(short, [])
+        if len(candidates) == 1:
+            return candidates[0]
+        if len(candidates) > 1:
+            visible = {module}
+            for full in self.modules.get(module, {}).get(
+                    "imports", {}).values():
+                visible.add(full)
+                visible.add(full.rsplit(".", 1)[0])
+            filtered = [q for q in candidates
+                        if q.split(":", 1)[0] in visible]
+            if len(filtered) == 1:
+                return filtered[0]
+        return None
 
     def class_of_constructor(self, module: str, dotted: str
                              ) -> tuple | None:

@@ -44,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis import concspec as spec
-from repro.analysis.callgraph import Program, extract_module
-from repro.analysis.findings import AnalysisResult, display_path
+from repro.analysis.callgraph import Program, receiver_hint
 
 MAIN_CONTEXT = "main"
 
@@ -268,7 +267,7 @@ class _FunctionScan:
         for _kw, value in kwargs:
             reads |= self._expr(value, line, in_test)
 
-        hint = self._receiver_hint(recv, dotted)
+        hint = receiver_hint(recv, dotted)
         qname = self._resolve(dotted)
         full_dotted = self._import_resolved(dotted)
         self.events.append(
@@ -326,17 +325,6 @@ class _FunctionScan:
             return f"{self.module}:{self.cls}.{name}"
         return None
 
-    def _receiver_hint(self, recv, dotted: str) -> str:
-        if recv is None:
-            return ""
-        if recv[0] == "name":
-            return recv[1]
-        if recv[0] == "attr":
-            return recv[2]
-        if "." in dotted:
-            return dotted.rsplit(".", 2)[-2]
-        return ""
-
     def _recv_field(self, recv) -> tuple | None:
         if recv[0] == "attr" and recv[1] and recv[1][0] == "name" and \
                 recv[1][1] == "self" and self.cls:
@@ -358,35 +346,10 @@ class _FunctionScan:
         return f"{full}.{rest}" if rest else full
 
     def _resolve(self, dotted: str) -> str | None:
-        """Callee qname: Program resolution first, then a unique-name
-        fallback filtered to modules this module imports (how
-        ``self.verifier.verify`` finds ``Verifier.verify``)."""
-        if not dotted:
-            return None
-        program = self.program
-        qname = program.resolve(self.module, dotted, self.var_types,
-                                self.cls)
-        if qname is not None:
-            if qname in program.functions:
-                return qname
-            init = f"{qname}.__init__"
-            return init if init in program.functions else None
-        short = dotted.rsplit(".", 1)[-1]
-        if short in spec.OPAQUE_METHOD_NAMES:
-            return None
-        candidates = program.methods_by_name.get(short, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        if len(candidates) > 1:
-            visible = {self.module}
-            for full in self.imports.values():
-                visible.add(full)
-                visible.add(full.rsplit(".", 1)[0])
-            filtered = [q for q in candidates
-                        if q.split(":", 1)[0] in visible]
-            if len(filtered) == 1:
-                return filtered[0]
-        return None
+        """Callee qname (:meth:`Program.resolve_callee`)."""
+        return self.program.resolve_callee(
+            self.module, dotted, self.var_types, self.cls,
+            spec.OPAQUE_METHOD_NAMES)
 
 
 class ConcurrencyEngine:
@@ -686,69 +649,3 @@ class ConcurrencyEngine:
         self._field_rules()
         return sorted(self._findings.values(),
                       key=lambda f: (f.location, f.line, f.rule_id))
-
-
-# -- entry points -------------------------------------------------------------
-
-
-def analyze_modules(sources: dict) -> AnalysisResult:
-    """Analyze in-memory ``{path: source}`` modules (tests, fixtures)."""
-    infos = [extract_module(source, path)
-             for path, source in sorted(sources.items())]
-    return _analyze_extracted(infos)
-
-
-def analyze_source(source: str,
-                   path: str = "src/repro/example.py") -> list:
-    """Single-module convenience mirroring :func:`taint.analyze_source`."""
-    return analyze_modules({path: source}).findings
-
-
-def _analyze_extracted(infos: list) -> AnalysisResult:
-    program = Program(infos)
-    paths = {info["module"]: info["path"] for info in infos}
-    engine = ConcurrencyEngine(program, paths)
-    result = AnalysisResult()
-    result.findings = engine.run()
-    result.scanned = len(infos)
-    return result
-
-
-def analyze_paths(paths, *, cache=None) -> AnalysisResult:
-    """Analyze files/directories of ``.py`` files, optionally cached.
-
-    *cache* is a :class:`repro.analysis.conccache.ConcurrencyCache`;
-    unchanged modules skip AST extraction, and a fully unchanged target
-    set returns the memoized findings without re-running the walk.
-    """
-    from repro.analysis.astlint import _iter_py_files
-    from repro.analysis.taintcache import content_hash
-
-    entries = []  # (display path, content hash, source)
-    for target in _iter_py_files(paths):
-        target = display_path(target)
-        with open(target, "rb") as handle:
-            raw = handle.read()
-        entries.append((target, content_hash(raw),
-                        raw.decode("utf-8")))
-
-    if cache is not None:
-        memoized = cache.run_result(entries)
-        if memoized is not None:
-            return memoized
-
-    infos = []
-    for path, digest, source in sorted(entries):
-        info = cache.module_info(path, digest) if cache is not None \
-            else None
-        if info is None:
-            info = extract_module(source, path)
-            if cache is not None:
-                cache.store_module(path, digest, info)
-        infos.append(info)
-
-    result = _analyze_extracted(infos)
-    if cache is not None:
-        cache.store_run(entries, result)
-        cache.save()
-    return result

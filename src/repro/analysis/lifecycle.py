@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis import lifespec as spec
-from repro.analysis.callgraph import Program, extract_module
-from repro.analysis.findings import AnalysisResult, display_path
+from repro.analysis.callgraph import Program, receiver_hint
 
 
 def _derived(expr, names: set) -> bool:
@@ -101,8 +100,6 @@ class _FunctionScan:
         self.cls = ir["cls"]
         self.path = path
         self.attr_types = attr_types
-        info = program.modules.get(self.module, {})
-        self.imports = dict(info.get("imports", {}))
         self.var_types: dict[str, tuple] = {}
         if self.cls and ir["params"] and \
                 ir["params"][0] in ("self", "cls"):
@@ -242,7 +239,7 @@ class _FunctionScan:
         _, dotted, recv, args, kwargs, line = expr
         dotted = dotted or ""
         short = dotted.rsplit(".", 1)[-1]
-        hint = self._receiver_hint(recv, dotted)
+        hint = receiver_hint(recv, dotted)
         qname = self._resolve(dotted)
         if qname is not None:
             self.callees.add(qname)
@@ -284,55 +281,25 @@ class _FunctionScan:
 
     # -- resolution -----------------------------------------------------------
 
-    def _receiver_hint(self, recv, dotted: str) -> str:
-        if recv is None:
-            return ""
-        if recv[0] == "name":
-            return recv[1]
-        if recv[0] == "attr":
-            return recv[2]
-        if "." in dotted:
-            return dotted.rsplit(".", 2)[-2]
-        return ""
-
     def _resolve(self, dotted: str) -> str | None:
-        """Callee qname: Program resolution, then attribute types from
-        annotations, then the unique-name fallback (as CON3xx does)."""
-        if not dotted:
-            return None
-        program = self.program
-        qname = program.resolve(self.module, dotted, self.var_types,
-                                self.cls)
-        if qname is not None:
-            if qname in program.functions:
-                return qname
-            init = f"{qname}.__init__"
-            return init if init in program.functions else None
+        """Callee qname: the declared type of ``self.<attr>`` for
+        ``self.<attr>.<method>`` calls, then
+        :meth:`Program.resolve_callee` (as CON3xx does).  The attribute
+        step may go first: :meth:`Program.resolve` never resolves a
+        three-part ``self.`` name, since ``self`` is neither an import
+        nor a module-level name."""
         parts = dotted.split(".")
         if len(parts) == 3 and parts[0] == "self" and self.cls:
             typed = self.attr_types.get(
                 (self.module, self.cls, parts[1]))
             if typed is not None:
                 type_module, type_class = typed
-                info = program.class_info(type_module, type_class)
+                info = self.program.class_info(type_module, type_class)
                 if info is not None and parts[2] in info["methods"]:
                     return f"{type_module}:{type_class}.{parts[2]}"
-        short = parts[-1]
-        if short in spec.OPAQUE_LIFECYCLE_NAMES:
-            return None
-        candidates = program.methods_by_name.get(short, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        if len(candidates) > 1:
-            visible = {self.module}
-            for full in self.imports.values():
-                visible.add(full)
-                visible.add(full.rsplit(".", 1)[0])
-            filtered = [q for q in candidates
-                        if q.split(":", 1)[0] in visible]
-            if len(filtered) == 1:
-                return filtered[0]
-        return None
+        return self.program.resolve_callee(
+            self.module, dotted, self.var_types, self.cls,
+            spec.OPAQUE_LIFECYCLE_NAMES)
 
 
 def _sink_applies(short: str, hint: str, dotted: str) -> bool:
@@ -651,69 +618,3 @@ class LifecycleEngine:
                 message = (f"{fname} acquires {ctor} '{local}' with "
                            "no close on any path")
             self._mint(spec.LIF405, scan.path, line, message)
-
-
-# -- entry points -------------------------------------------------------------
-
-
-def analyze_modules(sources: dict) -> AnalysisResult:
-    """Analyze in-memory ``{path: source}`` modules (tests, fixtures)."""
-    infos = [extract_module(source, path)
-             for path, source in sorted(sources.items())]
-    return _analyze_extracted(infos)
-
-
-def analyze_source(source: str,
-                   path: str = "src/repro/example.py") -> list:
-    """Single-module convenience mirroring the other analyzers."""
-    return analyze_modules({path: source}).findings
-
-
-def _analyze_extracted(infos: list) -> AnalysisResult:
-    program = Program(infos)
-    paths = {info["module"]: info["path"] for info in infos}
-    engine = LifecycleEngine(program, paths)
-    result = AnalysisResult()
-    result.findings = engine.run()
-    result.scanned = len(infos)
-    return result
-
-
-def analyze_paths(paths, *, cache=None) -> AnalysisResult:
-    """Analyze files/directories of ``.py`` files, optionally cached.
-
-    *cache* is a :class:`repro.analysis.lifecache.LifecycleCache`;
-    unchanged modules skip AST extraction, and a fully unchanged
-    target set returns the memoized findings without re-running.
-    """
-    from repro.analysis.astlint import _iter_py_files
-    from repro.analysis.taintcache import content_hash
-
-    entries = []  # (display path, content hash, source)
-    for target in _iter_py_files(paths):
-        target = display_path(target)
-        with open(target, "rb") as handle:
-            raw = handle.read()
-        entries.append((target, content_hash(raw),
-                        raw.decode("utf-8")))
-
-    if cache is not None:
-        memoized = cache.run_result(entries)
-        if memoized is not None:
-            return memoized
-
-    infos = []
-    for path, digest, source in sorted(entries):
-        info = cache.module_info(path, digest) if cache is not None \
-            else None
-        if info is None:
-            info = extract_module(source, path)
-            if cache is not None:
-                cache.store_module(path, digest, info)
-        infos.append(info)
-
-    result = _analyze_extracted(infos)
-    if cache is not None:
-        cache.store_run(entries, result)
-        cache.save()
-    return result

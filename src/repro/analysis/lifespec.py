@@ -10,7 +10,7 @@ with escape paths that skip their release.
 Like :mod:`repro.analysis.concspec`, this is vocabulary only — names
 and shapes that :mod:`repro.analysis.lifecycle` interprets over the
 v4 callgraph IR.  Bump :data:`SPEC_VERSION` on any semantic change so
-:class:`~repro.analysis.lifecache.LifecycleCache` discards stale runs.
+:class:`~repro.analysis.interproc.AnalysisCache` discards stale runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.analysis.callgraph import SPAWN_CALL_NAMES
 from repro.analysis.concspec import LOCK_NAME_TOKENS, OPAQUE_METHOD_NAMES
 from repro.analysis.engine import Severity, register
 
-#: Invalidates memoized LifecycleCache runs on rule-semantics changes.
+#: Invalidates memoized analysis runs on rule-semantics changes.
 SPEC_VERSION = 1
 
 LIF401 = register(

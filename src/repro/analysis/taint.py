@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis import taintspec as spec
-from repro.analysis.callgraph import Program, extract_module
-from repro.analysis.findings import AnalysisResult, display_path
+from repro.analysis.callgraph import Program, receiver_hint
 from repro.analysis.taintspec import (
     REPARSED, SECRET, SINK_RULES, SINK_SECRET_OUT, SINK_TRIGGERS,
     TNT203, TNT204, UNTRUSTED, VERIFIED,
@@ -248,7 +247,7 @@ class _FunctionAnalysis:
         arg_labels = [self._eval(a) for a in args]
         kw_labels = [(kw, self._eval(value)) for kw, value in kwargs]
         short = dotted.rsplit(".", 1)[-1]
-        recv_hint = self._receiver_hint(recv, dotted)
+        recv_hint = receiver_hint(recv, dotted)
         qname = self.engine.program.resolve(
             self.ir["module"], dotted, self.var_types, self.ir["cls"],
         )
@@ -304,17 +303,6 @@ class _FunctionAnalysis:
         if short in spec.TAINT_STOPPERS:
             return {}
         return every  # unknown callee: conservative pass-through
-
-    def _receiver_hint(self, recv, dotted: str) -> str:
-        if recv is None:
-            return ""
-        if recv[0] == "name":
-            return recv[1]
-        if recv[0] == "attr":
-            return recv[2]
-        if "." in dotted:
-            return dotted.rsplit(".", 2)[-2]
-        return ""
 
     def _sanitize_vars(self, recv, args) -> None:
         """A successful verification clears its operands in place."""
@@ -525,70 +513,3 @@ class TaintEngine:
                         )
                         self._findings.setdefault(finding.fingerprint,
                                                   finding)
-
-
-# -- entry points -------------------------------------------------------------
-
-
-def analyze_modules(sources: dict) -> AnalysisResult:
-    """Analyze in-memory ``{path: source}`` modules (tests, fixtures)."""
-    infos = [extract_module(source, path)
-             for path, source in sorted(sources.items())]
-    return _analyze_extracted(infos)
-
-
-def analyze_source(source: str,
-                   path: str = "src/repro/example.py") -> list:
-    """Single-module convenience mirroring :func:`lint_source`."""
-    return analyze_modules({path: source}).findings
-
-
-def _analyze_extracted(infos: list) -> AnalysisResult:
-    program = Program(infos)
-    paths = {info["module"]: info["path"] for info in infos}
-    engine = TaintEngine(program, paths)
-    result = AnalysisResult()
-    result.findings = engine.run()
-    result.scanned = len(infos)
-    return result
-
-
-def analyze_paths(paths, *, cache=None) -> AnalysisResult:
-    """Analyze files/directories of ``.py`` files, optionally cached.
-
-    *cache* is a :class:`repro.analysis.taintcache.TaintCache`; when
-    given, unchanged modules skip AST extraction and a fully unchanged
-    target set returns the memoized findings without re-running the
-    fixpoint at all.
-    """
-    from repro.analysis.astlint import _iter_py_files
-    from repro.analysis.taintcache import content_hash
-
-    entries = []  # (display path, content hash, source)
-    for target in _iter_py_files(paths):
-        target = display_path(target)
-        with open(target, "rb") as handle:
-            raw = handle.read()
-        entries.append((target, content_hash(raw),
-                        raw.decode("utf-8")))
-
-    if cache is not None:
-        memoized = cache.run_result(entries)
-        if memoized is not None:
-            return memoized
-
-    infos = []
-    for path, digest, source in sorted(entries):
-        info = cache.module_info(path, digest) if cache is not None \
-            else None
-        if info is None:
-            info = extract_module(source, path)
-            if cache is not None:
-                cache.store_module(path, digest, info)
-        infos.append(info)
-
-    result = _analyze_extracted(infos)
-    if cache is not None:
-        cache.store_run(entries, result)
-        cache.save()
-    return result

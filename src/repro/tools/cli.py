@@ -18,14 +18,9 @@ Commands:
 * ``audit``     — static security audit of signed/encrypted artifacts
   (documents, disc images, directories) without key material.
 * ``lint``      — AST-based invariant linter over the repo's own code.
-* ``taint``     — interprocedural taint-flow analysis (TNT2xx rules).
-* ``concurrency`` — interprocedural concurrency-safety analysis
-  (CON3xx rules): shared-state writes outside locks, check-then-act
-  races, lock-discipline violations, blocking calls under async roots.
-* ``lifecycle`` — interprocedural async lifecycle & exception-flow
-  analysis (LIF4xx rules): orphaned task handles, broad excepts
-  swallowing CancelledError, awaits under threading locks, dropped
-  Deadline propagation, exception-unsafe resource releases.
+* ``analyze``   — interprocedural analysis over one call graph: taint
+  flow (TNT2xx), concurrency safety (CON3xx) and async lifecycle
+  (LIF4xx) rule packs.
 * ``chaos``     — seeded adversarial chaos harness: drive resource
   attacks (nesting/attribute/text/node floods, reference and decrypt
   bombs, hostile frames) through the real entry points and fail on
@@ -375,7 +370,7 @@ def _perf_cluster_xml(submarkups: int) -> bytes:
 
 
 def _finish_analysis(result, args) -> int:
-    """Shared baseline/report/exit-code handling for audit and lint."""
+    """Shared baseline/report/exit-code handling for the analyzers."""
     import os
 
     from repro.analysis import (
@@ -426,53 +421,22 @@ def cmd_lint(args) -> int:
     return _finish_analysis(result, args)
 
 
-def cmd_taint(args) -> int:
-    """Interprocedural taint-flow analysis over the codebase."""
+def cmd_analyze(args) -> int:
+    """Interprocedural TNT/CON/LIF analysis over the codebase."""
     from repro.analysis import analyze_paths, catalog_lines
-    from repro.analysis.taintcache import TaintCache
+    from repro.analysis.interproc import AnalysisCache
 
     if args.rules:
         for line in catalog_lines("code"):
             print(line)
         return 0
-    cache = None if args.no_cache else TaintCache(args.cache)
-    result = analyze_paths(args.paths or ["src"], cache=cache)
-    if args.verbose and cache is not None:
-        state = "warm (memoized run)" if cache.run_hit else \
-            f"{cache.hits} module hit(s), {cache.misses} miss(es)"
-        print(f"cache: {state}")
-    return _finish_analysis(result, args)
-
-
-def cmd_concurrency(args) -> int:
-    """Interprocedural concurrency-safety analysis over the codebase."""
-    from repro.analysis import analyze_concurrency_paths, catalog_lines
-    from repro.analysis.conccache import ConcurrencyCache
-
-    if args.rules:
-        for line in catalog_lines("code"):
-            print(line)
-        return 0
-    cache = None if args.no_cache else ConcurrencyCache(args.cache)
-    result = analyze_concurrency_paths(args.paths or ["src"], cache=cache)
-    if args.verbose and cache is not None:
-        state = "warm (memoized run)" if cache.run_hit else \
-            f"{cache.hits} module hit(s), {cache.misses} miss(es)"
-        print(f"cache: {state}")
-    return _finish_analysis(result, args)
-
-
-def cmd_lifecycle(args) -> int:
-    """Interprocedural async lifecycle analysis over the codebase."""
-    from repro.analysis import analyze_lifecycle_paths, catalog_lines
-    from repro.analysis.lifecache import LifecycleCache
-
-    if args.rules:
-        for line in catalog_lines("code"):
-            print(line)
-        return 0
-    cache = None if args.no_cache else LifecycleCache(args.cache)
-    result = analyze_lifecycle_paths(args.paths or ["src"], cache=cache)
+    cache = None if args.no_cache else AnalysisCache(args.cache)
+    try:
+        result = analyze_paths(args.paths or ["src"], cache=cache)
+    except SyntaxError as exc:
+        print(f"error: {exc.filename}:{exc.lineno}: {exc.msg}",
+              file=sys.stderr)
+        return 2
     if args.verbose and cache is not None:
         state = "warm (memoized run)" if cache.run_hit else \
             f"{cache.hits} module hit(s), {cache.misses} miss(es)"
@@ -743,46 +707,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
-        "taint",
-        help="interprocedural taint-flow analysis (TNT2xx rules)",
+        "analyze",
+        help="interprocedural taint, concurrency and lifecycle analysis "
+             "(TNT2xx/CON3xx/LIF4xx rules)",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: src)")
-    p.add_argument("--cache", default=".taint-cache.json",
+    p.add_argument("--cache", default=".interproc-cache.json",
                    help="incremental cache file "
-                        "(default .taint-cache.json)")
+                        "(default .interproc-cache.json)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the cache")
     add_analysis_options(p)
-    p.set_defaults(func=cmd_taint)
-
-    p = sub.add_parser(
-        "concurrency",
-        help="interprocedural concurrency-safety analysis (CON3xx rules)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: src)")
-    p.add_argument("--cache", default=".concurrency-cache.json",
-                   help="incremental cache file "
-                        "(default .concurrency-cache.json)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the cache")
-    add_analysis_options(p)
-    p.set_defaults(func=cmd_concurrency)
-
-    p = sub.add_parser(
-        "lifecycle",
-        help="interprocedural async lifecycle analysis (LIF4xx rules)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: src)")
-    p.add_argument("--cache", default=".lifecycle-cache.json",
-                   help="incremental cache file "
-                        "(default .lifecycle-cache.json)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the cache")
-    add_analysis_options(p)
-    p.set_defaults(func=cmd_lifecycle)
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
         "chaos",

@@ -7,13 +7,15 @@ sanctioned remedy for fsync-bearing paths under async roots."""
 
 import textwrap
 
-from repro.analysis.concurrency import analyze_paths, analyze_source
+from repro.analysis.interproc import analyze_modules, analyze_paths
 
 SHARED_PATH = "src/repro/perf/cache.py"
 
 
 def conc(snippet: str, path: str = SHARED_PATH):
-    return analyze_source(textwrap.dedent(snippet), path)
+    """The one driver over *snippet*, CON findings only."""
+    findings = analyze_modules({path: textwrap.dedent(snippet)}).findings
+    return [f for f in findings if f.rule_id.startswith("CON")]
 
 
 def rule_ids(findings) -> set:

@@ -1,7 +1,9 @@
-"""The ``repro audit`` / ``repro lint`` command-line surface."""
+"""The ``repro audit`` / ``lint`` / ``analyze`` command-line surface."""
 
 import json
 import os
+
+import pytest
 
 from repro.tools.cli import main
 
@@ -13,6 +15,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 def fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+INTERPROC_BASELINE = os.path.join(REPO_ROOT, "interproc-baseline.json")
 
 
 # -- audit -------------------------------------------------------------------
@@ -102,20 +107,66 @@ def test_lint_rules_catalog(capsys):
     assert "SEC001" not in out
 
 
-# -- taint -------------------------------------------------------------------
+# -- analyze -----------------------------------------------------------------
 
 
-def test_taint_repo_passes_with_committed_baseline(tmp_path, capsys):
+def test_analyze_repo_passes_with_committed_baseline(tmp_path, capsys):
     src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "taint-baseline.json")
+    baseline = os.path.join(REPO_ROOT, "interproc-baseline.json")
     cache = str(tmp_path / "cache.json")
-    assert main(["taint", src, "--baseline", baseline,
+    assert main(["analyze", src, "--baseline", baseline,
                  "--cache", cache]) == 0
     assert "no findings" in capsys.readouterr().out
     # Second invocation hits the run-level cache and agrees.
-    assert main(["taint", src, "--baseline", baseline,
+    assert main(["analyze", src, "--baseline", baseline,
                  "--cache", cache, "-v"]) == 0
     assert "warm" in capsys.readouterr().out
+
+
+def test_analyze_unparsable_module_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "fine.py").write_text("def ok():\n    return 1\n")
+    (tmp_path / "broken.py").write_text("def broken(:\n    pass\n")
+    assert main(["analyze", str(tmp_path), "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert f"{tmp_path / 'broken.py'}:1" in line
+    assert "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def repo_cache(tmp_path_factory):
+    """One cache for the per-pack committed-baseline runs below: the
+    first runs cold, the others hit its run-level memo."""
+    return str(tmp_path_factory.mktemp("analyze") / "cache.json")
+
+
+def pack_baseline_split(cache, tmp_path, capsys, prefix):
+    """Run `analyze src` on the committed baseline (exit 0, no
+    findings); return the fingerprints of the *prefix* pack that the
+    run suppressed and those that the baseline file accepts."""
+    report = tmp_path / "report.json"
+    assert main(["analyze", os.path.join(REPO_ROOT, "src"),
+                 "--baseline", INTERPROC_BASELINE, "--cache", cache,
+                 "--json", str(report)]) == 0
+    assert "no findings" in capsys.readouterr().out
+    suppressed = {f["fingerprint"]
+                  for f in json.loads(report.read_text())["suppressed"]
+                  if f["rule_id"].startswith(prefix)}
+    with open(INTERPROC_BASELINE, encoding="utf-8") as handle:
+        accepted = {e["fingerprint"] for e in json.load(handle)["findings"]
+                    if e["rule_id"].startswith(prefix)}
+    return suppressed, accepted
+
+
+# -- taint -------------------------------------------------------------------
+
+
+def test_taint_repo_passes_with_committed_baseline(repo_cache, tmp_path,
+                                                   capsys):
+    suppressed, accepted = pack_baseline_split(repo_cache, tmp_path,
+                                               capsys, "TNT")
+    assert suppressed == accepted
 
 
 def test_taint_flags_seeded_flow(tmp_path, capsys):
@@ -126,12 +177,12 @@ def test_taint_flags_seeded_flow(tmp_path, capsys):
         "def handle(client, interp):\n"
         "    interp.run(parse_element(client.fetch('x')))\n"
     )
-    assert main(["taint", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "TNT201" in capsys.readouterr().out
 
 
 def test_taint_rules_catalog(capsys):
-    assert main(["taint", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
     assert "TNT201" in out and "TNT204" in out
     assert "SEC001" not in out
@@ -140,18 +191,11 @@ def test_taint_rules_catalog(capsys):
 # -- concurrency -------------------------------------------------------------
 
 
-def test_concurrency_repo_passes_with_committed_baseline(tmp_path,
-                                                         capsys):
-    src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "concurrency-baseline.json")
-    cache = str(tmp_path / "cache.json")
-    assert main(["concurrency", src, "--baseline", baseline,
-                 "--cache", cache]) == 0
-    assert "no findings" in capsys.readouterr().out
-    # Second invocation hits the run-level cache and agrees.
-    assert main(["concurrency", src, "--baseline", baseline,
-                 "--cache", cache, "-v"]) == 0
-    assert "warm" in capsys.readouterr().out
+def test_concurrency_repo_passes_with_committed_baseline(repo_cache,
+                                                         tmp_path, capsys):
+    suppressed, accepted = pack_baseline_split(repo_cache, tmp_path,
+                                               capsys, "CON")
+    assert suppressed == accepted
 
 
 def test_concurrency_flags_seeded_async_blocker(tmp_path, capsys):
@@ -163,12 +207,12 @@ def test_concurrency_flags_seeded_async_blocker(tmp_path, capsys):
         "    time.sleep(1.0)\n"
         "    return request\n"
     )
-    assert main(["concurrency", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "CON304" in capsys.readouterr().out
 
 
 def test_concurrency_rules_catalog(capsys):
-    assert main(["concurrency", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
     assert "CON301" in out and "CON304" in out
     assert "SEC001" not in out
@@ -177,18 +221,11 @@ def test_concurrency_rules_catalog(capsys):
 # -- lifecycle ---------------------------------------------------------------
 
 
-def test_lifecycle_repo_passes_with_committed_baseline(tmp_path,
-                                                       capsys):
-    src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "lifecycle-baseline.json")
-    cache = str(tmp_path / "cache.json")
-    assert main(["lifecycle", src, "--baseline", baseline,
-                 "--cache", cache]) == 0
-    assert "no findings" in capsys.readouterr().out
-    # Second invocation hits the run-level cache and agrees.
-    assert main(["lifecycle", src, "--baseline", baseline,
-                 "--cache", cache, "-v"]) == 0
-    assert "warm" in capsys.readouterr().out
+def test_lifecycle_repo_passes_with_committed_baseline(repo_cache,
+                                                       tmp_path, capsys):
+    suppressed, accepted = pack_baseline_split(repo_cache, tmp_path,
+                                               capsys, "LIF")
+    assert suppressed == accepted
 
 
 def test_lifecycle_flags_seeded_orphan_task(tmp_path, capsys):
@@ -199,7 +236,7 @@ def test_lifecycle_flags_seeded_orphan_task(tmp_path, capsys):
         "async def serve(work):\n"
         "    asyncio.create_task(work())\n"
     )
-    assert main(["lifecycle", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "LIF401" in capsys.readouterr().out
 
 
@@ -213,12 +250,12 @@ def test_lifecycle_flags_seeded_deadline_drop(tmp_path, capsys):
         "    await channel.clock.wait_until(channel.future,\n"
         "                                   deadline.at)\n"
     )
-    assert main(["lifecycle", str(bad.parent), "--no-cache"]) == 1
+    assert main(["analyze", str(bad.parent), "--no-cache"]) == 1
     assert "LIF404" in capsys.readouterr().out
 
 
 def test_lifecycle_rules_catalog(capsys):
-    assert main(["lifecycle", "--rules"]) == 0
+    assert main(["analyze", "--rules"]) == 0
     out = capsys.readouterr().out
     assert "LIF401" in out and "LIF405" in out
     assert "SEC001" not in out

@@ -1,7 +1,7 @@
 """Concurrency-engine behaviour: one mini-program per CON rule
 (racy and disciplined variants), root discovery and shared-surface
-gating, the incremental cache, and the clean-repo gate that keeps
-``repro.tools concurrency src`` green."""
+gating, and the incremental cache.  Every case runs through the one
+interprocedural driver and keeps only CON findings."""
 
 import json
 import os
@@ -9,14 +9,24 @@ import textwrap
 
 import pytest
 
-from repro.analysis import Baseline
-from repro.analysis.conccache import ConcurrencyCache
-from repro.analysis.concurrency import (
-    analyze_modules, analyze_paths, analyze_source,
-)
+from repro.analysis import interproc
+from repro.analysis.interproc import AnalysisCache, analyze_paths
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+
+def analyze_modules(sources: dict):
+    """The driver's result over *sources*, CON findings only."""
+    result = interproc.analyze_modules(sources)
+    result.findings = [f for f in result.findings
+                       if f.rule_id.startswith("CON")]
+    return result
+
+
+def analyze_source(source: str, path: str) -> list:
+    return analyze_modules({path: source}).findings
+
 
 #: fixtures impersonate a shared-surface module; state here is
 #: expected to be visible from many contexts at once.
@@ -363,11 +373,11 @@ def tree(tmp_path):
 
 def test_cache_cold_then_memoized_run(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    cold = ConcurrencyCache(cache_path)
+    cold = AnalysisCache(cache_path)
     analyze_paths([str(tree)], cache=cold)
     assert not cold.run_hit and cold.misses == 2
 
-    warm = ConcurrencyCache(cache_path)
+    warm = AnalysisCache(cache_path)
     result = analyze_paths([str(tree)], cache=warm)
     assert warm.run_hit
     assert result.scanned == 2
@@ -375,46 +385,34 @@ def test_cache_cold_then_memoized_run(tree, tmp_path):
 
 def test_cache_invalidates_only_the_changed_module(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    analyze_paths([str(tree)], cache=ConcurrencyCache(cache_path))
+    analyze_paths([str(tree)], cache=AnalysisCache(cache_path))
 
     (tree / "b.py").write_text(MODULE_B + "\ndef gamma():\n    return 3\n")
-    edited = ConcurrencyCache(cache_path)
+    edited = AnalysisCache(cache_path)
     analyze_paths([str(tree)], cache=edited)
     assert not edited.run_hit
     assert edited.hits == 1 and edited.misses == 1
 
 
-def test_taint_and_concurrency_caches_never_collide(tree, tmp_path):
-    from repro.analysis.taintcache import TaintCache
-
-    taint_path = str(tmp_path / "taint.json")
-    conc_path = str(tmp_path / "conc.json")
-    from repro.analysis.taint import analyze_paths as taint_paths
-    taint_paths([str(tree)], cache=TaintCache(taint_path))
-
-    fresh = ConcurrencyCache(conc_path)
-    analyze_paths([str(tree)], cache=fresh)
-    assert not fresh.run_hit  # separate file, separate spec version
+# -- committed baseline ------------------------------------------------------
 
 
-# -- clean-repo gate ---------------------------------------------------------
-
-
-def test_repo_concurrency_clean_modulo_baseline():
-    """`repro.tools concurrency src`: nothing above baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "concurrency-baseline.json")
-    result = analyze_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
+def test_repo_concurrency_clean_modulo_baseline(repo_above_baseline):
+    """`repro.tools analyze src`: no CON finding above the committed
+    baseline."""
+    kept = repo_above_baseline("CON")
     assert kept.findings == [], [f.render() for f in kept.findings]
     assert kept.scanned > 100
 
 
 def test_concurrency_baseline_is_wellformed_and_justified():
-    with open(os.path.join(REPO_ROOT, "concurrency-baseline.json"),
+    """Every CON entry in the one interprocedural baseline."""
+    with open(os.path.join(REPO_ROOT, "interproc-baseline.json"),
               encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["version"] == 1
     for entry in payload["findings"]:
+        if not entry["rule_id"].startswith("CON"):
+            continue
         assert entry["fingerprint"]
         assert entry["justification"]

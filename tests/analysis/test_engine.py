@@ -101,6 +101,29 @@ def test_baseline_round_trip(tmp_path):
     assert [f.message for f in result.suppressed] == ["boom"]
 
 
+def test_baseline_update_keeps_justifications(tmp_path):
+    """Regenerating a baseline keeps the justification of every entry
+    it accepts again and drops the entries that went away."""
+    path = str(tmp_path / "baseline.json")
+    kept, gone = finding(message="kept"), finding(message="gone")
+    Baseline().save(path, [kept, gone])
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    for entry in payload["findings"]:
+        entry["justification"] = f"reviewed: {entry['message']}"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+    Baseline().save(path, [kept, finding(message="fresh")])
+    with open(path, encoding="utf-8") as handle:
+        entries = {e["message"]: e for e in json.load(handle)["findings"]}
+    assert sorted(entries) == ["fresh", "kept"]
+    assert entries["kept"]["justification"] == "reviewed: kept"
+    assert "justification" not in entries["fresh"]
+    assert Baseline.load(path).fingerprints == {
+        kept.fingerprint, finding(message="fresh").fingerprint}
+
+
 def test_baseline_rejects_unknown_version(tmp_path):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps({"version": 99, "findings": []}))

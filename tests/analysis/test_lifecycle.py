@@ -1,8 +1,8 @@
 """Lifecycle-engine behaviour: one mini-program per LIF rule (leaky
 and disciplined variants), the deadline-propagation proof over the
-real service chain, the incremental cache (including the IR-version
-cold-start contract shared by all three call-graph analyzers), and
-the clean-repo gate that keeps ``repro.tools lifecycle src`` green."""
+real service chain, and the incremental cache (including the
+cold-start contract on IR and spec version bumps).  Every case runs
+through the one interprocedural driver and keeps only LIF findings."""
 
 import json
 import os
@@ -10,14 +10,23 @@ import textwrap
 
 import pytest
 
-from repro.analysis import Baseline
-from repro.analysis.lifecache import LifecycleCache
-from repro.analysis.lifecycle import (
-    analyze_modules, analyze_paths, analyze_source,
-)
+from repro.analysis import interproc
+from repro.analysis.interproc import AnalysisCache, analyze_paths
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+
+def analyze_modules(sources: dict):
+    """The driver's result over *sources*, LIF findings only."""
+    result = interproc.analyze_modules(sources)
+    result.findings = [f for f in result.findings
+                       if f.rule_id.startswith("LIF")]
+    return result
+
+
+def analyze_source(source: str, path: str) -> list:
+    return analyze_modules({path: source}).findings
 
 
 def life(snippet: str, path: str = "src/repro/example.py"):
@@ -424,11 +433,11 @@ def tree(tmp_path):
 
 def test_cache_cold_then_memoized_run(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    cold = LifecycleCache(cache_path)
+    cold = AnalysisCache(cache_path)
     analyze_paths([str(tree)], cache=cold)
     assert not cold.run_hit and cold.misses == 2
 
-    warm = LifecycleCache(cache_path)
+    warm = AnalysisCache(cache_path)
     result = analyze_paths([str(tree)], cache=warm)
     assert warm.run_hit
     assert result.scanned == 2
@@ -436,79 +445,67 @@ def test_cache_cold_then_memoized_run(tree, tmp_path):
 
 def test_cache_invalidates_only_the_changed_module(tree, tmp_path):
     cache_path = str(tmp_path / "cache.json")
-    analyze_paths([str(tree)], cache=LifecycleCache(cache_path))
+    analyze_paths([str(tree)], cache=AnalysisCache(cache_path))
 
     (tree / "b.py").write_text(MODULE_B + "\ndef gamma():\n    return 3\n")
-    edited = LifecycleCache(cache_path)
+    edited = AnalysisCache(cache_path)
     analyze_paths([str(tree)], cache=edited)
     assert not edited.run_hit
     assert edited.hits == 1 and edited.misses == 1
 
 
-def test_lifecycle_and_concurrency_caches_never_collide(tree, tmp_path):
-    from repro.analysis.conccache import ConcurrencyCache
-    from repro.analysis.concurrency import analyze_paths as conc_paths
-
-    conc_path = str(tmp_path / "conc.json")
-    life_path = str(tmp_path / "life.json")
-    conc_paths([str(tree)], cache=ConcurrencyCache(conc_path))
-
-    fresh = LifecycleCache(life_path)
-    analyze_paths([str(tree)], cache=fresh)
-    assert not fresh.run_hit  # separate file, separate spec version
-
-
 def test_ir_version_bump_cold_starts_every_analyzer_cache_once(
-        tree, tmp_path):
-    """A callgraph IR bump (e.g. v3 -> v4) must cold-start the taint,
-    concurrency and lifecycle caches exactly once each: the stale file
-    is discarded at load, and the very next run is warm again."""
-    from repro.analysis.conccache import ConcurrencyCache
-    from repro.analysis.concurrency import analyze_paths as conc_paths
-    from repro.analysis.taint import analyze_paths as taint_paths
-    from repro.analysis.taintcache import TaintCache
+        tree, tmp_path, monkeypatch):
+    """A callgraph IR bump (e.g. v3 -> v4), or a spec bump of any one
+    pack, must cold-start the one interprocedural cache exactly once:
+    the stale file is discarded at load, and the very next run is warm
+    again."""
+    from repro.analysis import concspec, lifespec, taintspec
 
-    cases = [
-        (TaintCache, taint_paths, str(tmp_path / "taint.json")),
-        (ConcurrencyCache, conc_paths, str(tmp_path / "conc.json")),
-        (LifecycleCache, analyze_paths, str(tmp_path / "life.json")),
-    ]
-    for cache_cls, run, cache_path in cases:
-        run([str(tree)], cache=cache_cls(cache_path))
-        with open(cache_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["ir_version"] -= 1  # pretend it predates the bump
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+    cache_path = str(tmp_path / "cache.json")
+    analyze_paths([str(tree)], cache=AnalysisCache(cache_path))
 
-        stale = cache_cls(cache_path)
-        run([str(tree)], cache=stale)
-        assert not stale.run_hit, cache_cls.__name__
-        assert stale.misses == 2, cache_cls.__name__  # full cold start
+    def assert_cold_exactly_once(bump: str) -> None:
+        stale = AnalysisCache(cache_path)
+        analyze_paths([str(tree)], cache=stale)
+        assert not stale.run_hit, bump
+        assert stale.misses == 2, bump  # full cold start
 
-        fresh = cache_cls(cache_path)
-        run([str(tree)], cache=fresh)
-        assert fresh.run_hit, cache_cls.__name__  # cold exactly once
+        fresh = AnalysisCache(cache_path)
+        analyze_paths([str(tree)], cache=fresh)
+        assert fresh.run_hit, bump  # cold exactly once
 
+    with open(cache_path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["ir_version"] -= 1  # pretend it predates the bump
+    with open(cache_path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    assert_cold_exactly_once("IR_VERSION")
 
-# -- clean-repo gate ---------------------------------------------------------
+    for spec in (taintspec, concspec, lifespec):
+        monkeypatch.setattr(spec, "SPEC_VERSION", spec.SPEC_VERSION + 1)
+        assert_cold_exactly_once(f"{spec.__name__}.SPEC_VERSION")
 
 
-def test_repo_lifecycle_clean_modulo_baseline():
-    """`repro.tools lifecycle src`: nothing above baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "lifecycle-baseline.json")
-    result = analyze_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
+# -- committed baseline ------------------------------------------------------
+
+
+def test_repo_lifecycle_clean_modulo_baseline(repo_above_baseline):
+    """`repro.tools analyze src`: no LIF finding above the committed
+    baseline."""
+    kept = repo_above_baseline("LIF")
     assert kept.findings == [], [f.render() for f in kept.findings]
     assert kept.scanned > 100
 
 
 def test_lifecycle_baseline_is_wellformed_and_justified():
-    with open(os.path.join(REPO_ROOT, "lifecycle-baseline.json"),
+    """Every LIF entry in the one interprocedural baseline."""
+    with open(os.path.join(REPO_ROOT, "interproc-baseline.json"),
               encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["version"] == 1
     for entry in payload["findings"]:
+        if not entry["rule_id"].startswith("LIF"):
+            continue
         assert entry["fingerprint"]
         assert entry["justification"]

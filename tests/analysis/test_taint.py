@@ -1,18 +1,27 @@
 """Taint-engine behaviour: one mini-program per TNT rule (violating
-and sanitized variants), propagation mechanics, and the clean-repo
-gate that keeps ``repro.tools taint src`` green."""
+and sanitized variants) and the propagation mechanics.  Every case runs
+through the one interprocedural driver and keeps only TNT findings."""
 
 import json
 import os
 import textwrap
 
-import pytest
-
-from repro.analysis import Baseline, analyze_modules, analyze_source
-from repro.analysis.taint import analyze_paths
+from repro.analysis import interproc
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+
+def analyze_modules(sources: dict):
+    """The driver's result over *sources*, TNT findings only."""
+    result = interproc.analyze_modules(sources)
+    result.findings = [f for f in result.findings
+                       if f.rule_id.startswith("TNT")]
+    return result
+
+
+def analyze_source(source: str, path: str) -> list:
+    return analyze_modules({path: source}).findings
 
 
 def taint(snippet: str, path: str = "src/repro/network/example.py"):
@@ -318,24 +327,25 @@ def test_untrusted_path_parse_is_source_only_there():
     assert taint(snippet, "src/repro/disc/manifest_builder.py") == []
 
 
-# -- clean-repo gate --------------------------------------------------------
+# -- committed baseline ------------------------------------------------------
 
 
-def test_repo_taints_clean_modulo_baseline():
-    """`repro.tools taint src` on this repo: nothing above baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "taint-baseline.json")
-    result = analyze_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
+def test_repo_taints_clean_modulo_baseline(repo_above_baseline):
+    """`repro.tools analyze src`: no TNT finding above the committed
+    baseline."""
+    kept = repo_above_baseline("TNT")
     assert kept.findings == [], [f.render() for f in kept.findings]
     assert kept.scanned > 100
 
 
 def test_taint_baseline_is_wellformed_and_justified():
-    with open(os.path.join(REPO_ROOT, "taint-baseline.json"),
+    """Every TNT entry in the one interprocedural baseline."""
+    with open(os.path.join(REPO_ROOT, "interproc-baseline.json"),
               encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["version"] == 1
     for entry in payload["findings"]:
+        if not entry["rule_id"].startswith("TNT"):
+            continue
         assert entry["fingerprint"]
         assert entry["justification"]
