@@ -16,7 +16,7 @@ pins the two claims:
 import pytest
 
 from _workloads import (
-    build_manifest, build_world, measure, measure_pair, report,
+    build_manifest, measure, measure_pair, report,
 )
 from repro.dsig import Signer, Verifier
 from repro.perf.cache import NullCache

@@ -29,7 +29,7 @@ mints findings with interprocedural flow traces in ``detail``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis import taintspec as spec
 from repro.analysis.callgraph import Program, receiver_hint

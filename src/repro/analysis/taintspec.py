@@ -23,7 +23,7 @@ catalog changes — it keys the findings cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.astlint import _UNTRUSTED_DIRS, _UNTRUSTED_FILES
 from repro.analysis.engine import register

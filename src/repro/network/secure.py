@@ -26,7 +26,7 @@ import asyncio
 import struct
 from dataclasses import dataclass
 
-from repro.errors import ChannelSecurityError, TimeoutError
+from repro.errors import ChannelSecurityError
 from repro.certs.authority import SigningIdentity
 from repro.certs.certificate import Certificate
 from repro.certs.store import TrustStore
@@ -190,33 +190,16 @@ class SecureClient:
         self.now = now
 
 
-def establish(client: SecureClient, server: SecureServer,
-              channel: Channel, *,
-              retry_policy=None) -> tuple[SecureSession, SecureSession]:
-    """Run the handshake over *channel*.
+def _handshake(client: SecureClient, server: SecureServer):
+    """The five-flight handshake as one sans-I/O generator.
 
-    Returns ``(client_session, server_session)``.
-
-    With a *retry_policy* (:class:`repro.resilience.RetryPolicy`), a
-    handshake torn down by a transient fault — dropped flight,
-    truncated record, tampering detected in the Finished exchange — is
-    restarted from ClientHello under the policy's backoff/deadline
-    budget.  Nonces and keys are fresh on every attempt.
-
-    Raises:
-        ChannelSecurityError: when certificate validation fails or the
-            transcript was tampered with in transit.
+    Yields ``(to_server, message)`` for each outgoing flight and must
+    be sent the bytes the wire delivered at the far end; returns
+    ``(client_session, server_session)``.  It does no I/O and reads no
+    clock, so :func:`establish` (blocking :meth:`Channel.transfer`)
+    and :func:`establish_async` (deadline-bounded async flights) run
+    the same transcript and the same tamper checks.
     """
-    if retry_policy is not None:
-        return retry_policy.execute(
-            lambda: _establish_once(client, server, channel),
-            describe="secure handshake",
-        )
-    return _establish_once(client, server, channel)
-
-
-def _establish_once(client: SecureClient, server: SecureServer,
-                    channel: Channel) -> tuple[SecureSession, SecureSession]:
     provider = client.provider
     transcript_client: list[bytes] = []
     transcript_server: list[bytes] = []
@@ -225,7 +208,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
     client_nonce = client.rng.read(_NONCE)
     m1 = _frame(MSG_CLIENT_HELLO, client_nonce)
     transcript_client.append(m1)
-    m1_wire = channel.transfer(m1)
+    m1_wire = yield True, m1
     transcript_server.append(m1_wire)
     server_view_client_nonce = _unframe(m1_wire, MSG_CLIENT_HELLO)
 
@@ -235,13 +218,17 @@ def _establish_once(client: SecureClient, server: SecureServer,
     m2 = _frame(MSG_SERVER_HELLO,
                 server_nonce + struct.pack(">I", len(chain_xml)) + chain_xml)
     transcript_server.append(m2)
-    m2_wire = channel.transfer(m2)
+    m2_wire = yield False, m2
     transcript_client.append(m2_wire)
     payload = _unframe(m2_wire, MSG_SERVER_HELLO)
+    if len(payload) < _NONCE + 4:
+        raise ChannelSecurityError("ServerHello too short")
     client_view_server_nonce = payload[:_NONCE]
     (chain_len,) = struct.unpack_from(">I", payload, _NONCE)
+    if chain_len != len(payload) - _NONCE - 4:
+        raise ChannelSecurityError("ServerHello chain length mismatch")
     try:
-        chain = _chain_from_xml(payload[_NONCE + 4:_NONCE + 4 + chain_len])
+        chain = _chain_from_xml(payload[_NONCE + 4:])
     except Exception as exc:
         raise ChannelSecurityError(
             f"server certificate chain unreadable: {exc}"
@@ -261,7 +248,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
                             client.rng)
     m3 = _frame(MSG_KEY_EXCHANGE, encrypted)
     transcript_client.append(m3)
-    m3_wire = channel.transfer(m3)
+    m3_wire = yield True, m3
     transcript_server.append(m3_wire)
     try:
         server_premaster = rsa.decrypt(
@@ -288,7 +275,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
     client_fin = provider.hmac(
         "sha256", premaster, b"finished:" + b"".join(transcript_client),
     )
-    fin_wire = channel.transfer(client_session.seal(client_fin))
+    fin_wire = yield True, client_session.seal(client_fin)
     server_expected = server.provider.hmac(
         "sha256", server_premaster,
         b"finished:" + b"".join(transcript_server),
@@ -302,7 +289,7 @@ def _establish_once(client: SecureClient, server: SecureServer,
         "sha256", server_premaster,
         b"server-finished:" + b"".join(transcript_server),
     )
-    fin2_wire = channel.transfer(server_session.seal(server_fin))
+    fin2_wire = yield False, server_session.seal(server_fin)
     client_expected = provider.hmac(
         "sha256", premaster, b"server-finished:" + b"".join(transcript_client),
     )
@@ -312,6 +299,37 @@ def _establish_once(client: SecureClient, server: SecureServer,
             "handshake transcript mismatch: tampering detected"
         )
     return client_session, server_session
+
+
+def establish(client: SecureClient, server: SecureServer,
+              channel: Channel, *,
+              retry_policy=None) -> tuple[SecureSession, SecureSession]:
+    """Run the handshake over *channel*.
+
+    Returns ``(client_session, server_session)``.
+
+    With a *retry_policy* (:class:`repro.resilience.RetryPolicy`), a
+    handshake torn down by a transient fault — dropped flight,
+    truncated record, tampering detected in the Finished exchange — is
+    restarted from ClientHello under the policy's backoff/deadline
+    budget.  Nonces and keys are fresh on every attempt.
+
+    Raises:
+        ChannelSecurityError: when certificate validation fails or the
+            transcript was tampered with in transit.
+    """
+    def once():
+        flights = _handshake(client, server)
+        try:
+            _, message = next(flights)
+            while True:
+                _, message = flights.send(channel.transfer(message))
+        except StopIteration as done:
+            return done.value
+
+    if retry_policy is not None:
+        return retry_policy.execute(once, describe="secure handshake")
+    return once()
 
 
 def secure_transfer(client: SecureClient, server: SecureServer,
@@ -332,14 +350,16 @@ async def _flight(sender, receiver, message: bytes, at: float, clock):
     sender, so a lockstep handshake needs its own clock: a flight whose
     answer never arrives surfaces as a typed
     :class:`~repro.errors.TimeoutError` (retryable) rather than a hang.
+    The receive is cancelled on every exit (timeout, error or a
+    cancelled caller), so an abandoned flight never takes the
+    channel's next message.
     """
     await sender.send(message)
     arrival = asyncio.ensure_future(receiver.recv())
     try:
         return await clock.wait_until(arrival, at)
-    except TimeoutError:
+    finally:
         arrival.cancel()
-        raise
 
 
 async def establish_async(client: SecureClient, server: SecureServer,
@@ -354,121 +374,22 @@ async def establish_async(client: SecureClient, server: SecureServer,
     handshakes restart from ClientHello (fresh nonces every attempt)
     under the policy's backoff/deadline budget.
     """
+    async def once():
+        clock = channel.clock
+        deadline_at = clock.now() + timeout_s
+        flights = _handshake(client, server)
+        try:
+            to_server, message = next(flights)
+            while True:
+                sender, receiver = (
+                    (channel.client, channel.server) if to_server
+                    else (channel.server, channel.client))
+                to_server, message = flights.send(await _flight(
+                    sender, receiver, message, deadline_at, clock))
+        except StopIteration as done:
+            return done.value
+
     if retry_policy is not None:
         return await retry_policy.execute_async(
-            lambda: _establish_once_async(client, server, channel,
-                                          timeout_s),
-            describe="secure handshake",
-        )
-    return await _establish_once_async(client, server, channel,
-                                       timeout_s)
-
-
-async def _establish_once_async(client: SecureClient,
-                                server: SecureServer, channel,
-                                timeout_s: float):
-    provider = client.provider
-    clock = channel.clock
-    deadline_at = clock.now() + timeout_s
-    transcript_client: list[bytes] = []
-    transcript_server: list[bytes] = []
-    to_server = (channel.client, channel.server)
-    to_client = (channel.server, channel.client)
-
-    # 1. ClientHello --------------------------------------------------------------
-    client_nonce = client.rng.read(_NONCE)
-    m1 = _frame(MSG_CLIENT_HELLO, client_nonce)
-    transcript_client.append(m1)
-    m1_wire = await _flight(*to_server, m1, deadline_at, clock)
-    transcript_server.append(m1_wire)
-    server_view_client_nonce = _unframe(m1_wire, MSG_CLIENT_HELLO)
-
-    # 2. ServerHello with certificate chain ----------------------------------------
-    server_nonce = server.rng.read(_NONCE)
-    chain_xml = _chain_to_xml(server.identity.chain)
-    m2 = _frame(MSG_SERVER_HELLO,
-                server_nonce + struct.pack(">I", len(chain_xml)) +
-                chain_xml)
-    transcript_server.append(m2)
-    m2_wire = await _flight(*to_client, m2, deadline_at, clock)
-    transcript_client.append(m2_wire)
-    payload = _unframe(m2_wire, MSG_SERVER_HELLO)
-    client_view_server_nonce = payload[:_NONCE]
-    (chain_len,) = struct.unpack_from(">I", payload, _NONCE)
-    try:
-        chain = _chain_from_xml(
-            payload[_NONCE + 4:_NONCE + 4 + chain_len])
-    except Exception as exc:
-        raise ChannelSecurityError(
-            f"server certificate chain unreadable: {exc}"
-        ) from exc
-
-    # 3. Chain validation (player refuses untrusted servers) -------------------------
-    validation = client.trust_store.validate_chain(chain, now=client.now)
-    if not validation.valid:
-        raise ChannelSecurityError(
-            f"server certificate rejected: {validation.reason}"
-        )
-    server_certificate = chain[0]
-
-    # 4. Key exchange ---------------------------------------------------------------
-    premaster = client.rng.read(_PREMASTER)
-    encrypted = rsa.encrypt(server_certificate.public_key, premaster,
-                            client.rng)
-    m3 = _frame(MSG_KEY_EXCHANGE, encrypted)
-    transcript_client.append(m3)
-    m3_wire = await _flight(*to_server, m3, deadline_at, clock)
-    transcript_server.append(m3_wire)
-    try:
-        server_premaster = rsa.decrypt(
-            server.identity.key, _unframe(m3_wire, MSG_KEY_EXCHANGE),
-        )
-    except Exception as exc:
-        raise ChannelSecurityError(
-            f"key exchange failed: {exc}"
-        ) from exc
-
-    # 5. Key derivation (both sides, from their own view) ------------------------------
-    client_c2s, client_s2c = _kdf(provider, premaster, client_nonce,
-                                  client_view_server_nonce)
-    server_c2s, server_s2c = _kdf(provider, server_premaster,
-                                  server_view_client_nonce, server_nonce)
-
-    client_session = SecureSession(client_c2s, client_s2c, provider,
-                                   client.rng,
-                                   peer_certificate=server_certificate)
-    server_session = SecureSession(server_s2c, server_c2s,
-                                   server.provider, server.rng)
-
-    # 6. Finished exchange: MAC the transcript both ways --------------------------------
-    client_fin = provider.hmac(
-        "sha256", premaster, b"finished:" + b"".join(transcript_client),
-    )
-    fin_wire = await _flight(*to_server, client_session.seal(client_fin),
-                             deadline_at, clock)
-    server_expected = server.provider.hmac(
-        "sha256", server_premaster,
-        b"finished:" + b"".join(transcript_server),
-    )
-    if not constant_time_equal(server_session.open(fin_wire),
-                               server_expected):
-        raise ChannelSecurityError(
-            "handshake transcript mismatch: tampering detected"
-        )
-    server_fin = server.provider.hmac(
-        "sha256", server_premaster,
-        b"server-finished:" + b"".join(transcript_server),
-    )
-    fin2_wire = await _flight(*to_client,
-                              server_session.seal(server_fin),
-                              deadline_at, clock)
-    client_expected = provider.hmac(
-        "sha256", premaster,
-        b"server-finished:" + b"".join(transcript_client),
-    )
-    if not constant_time_equal(client_session.open(fin2_wire),
-                               client_expected):
-        raise ChannelSecurityError(
-            "handshake transcript mismatch: tampering detected"
-        )
-    return client_session, server_session
+            once, describe="secure handshake")
+    return await once()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -125,11 +126,17 @@ class CircuitBreaker:
             if self.state == STATE_HALF_OPEN:
                 self.state = STATE_OPEN
 
-    def call(self, operation: Callable):
-        """Run one gated, recorded call (no retries)."""
+    @contextmanager
+    def gate(self):
+        """Gate the call in the ``with`` body and record its outcome.
+
+        A :class:`~repro.errors.NetworkError` counts as a failure; any
+        other exit by exception (including cancellation) abandons a
+        half-open probe without blaming the service.
+        """
         self.before_call()
         try:
-            result = operation()
+            yield
         except NetworkError:
             self.record_failure()
             raise
@@ -137,7 +144,11 @@ class CircuitBreaker:
             self.abandon_probe()
             raise
         self.record_success()
-        return result
+
+    def call(self, operation: Callable):
+        """Run one gated, recorded call (no retries)."""
+        with self.gate():
+            return operation()
 
 
 @dataclass
@@ -186,75 +197,6 @@ class RetryPolicy:
         return [self.backoff(attempt, rng)
                 for attempt in range(1, self.max_attempts)]
 
-    def _check_entry(self, until: float | None, attempts: int,
-                     start: float, describe: str) -> None:
-        """An attempt must not start past the propagated deadline."""
-        if until is not None and self.clock.now() >= until:
-            raise TimeoutError(
-                f"{describe}: deadline expired before attempt "
-                f"{attempts + 1}",
-                attempts=attempts,
-                elapsed=self.clock.now() - start,
-            )
-
-    def _settle_attempt(self, breaker: CircuitBreaker | None,
-                        attempts: int, start: float, describe: str,
-                        attempt_start: float):
-        """Post-success bookkeeping: ``(keep_result, timeout_error)``."""
-        took = self.clock.now() - attempt_start
-        if self.attempt_timeout is not None \
-                and took > self.attempt_timeout:
-            # The caller would have hung up before the answer
-            # arrived: discard it and count a timeout.
-            error = TimeoutError(
-                f"{describe}: attempt {attempts} took {took:g}s "
-                f"(timeout {self.attempt_timeout:g}s)",
-                attempts=attempts,
-                elapsed=self.clock.now() - start,
-            )
-            if breaker is not None:
-                breaker.record_failure()
-            return False, error
-        if breaker is not None:
-            breaker.record_success()
-        return True, None
-
-    def _next_delay(self, attempts: int, rng: random.Random,
-                    start: float, until: float | None, describe: str,
-                    last_error: BaseException | None) -> float:
-        """The next backoff, clipped against every remaining budget.
-
-        A backoff that would sleep the remaining deadline dry buys
-        nothing — there is no room left for the attempt it precedes —
-        so the policy fails *before* sleeping instead of waking up at
-        (or past) the deadline just to fail then.
-        """
-        delay = self.backoff(attempts, rng)
-        now = self.clock.now()
-        budgets = []
-        if self.deadline is not None:
-            budgets.append(start + self.deadline - now)
-        if until is not None:
-            budgets.append(until - now)
-        if budgets and delay >= min(budgets):
-            raise RetryExhaustedError(
-                f"{describe}: retry deadline exhausted after "
-                f"{attempts} attempt(s): {last_error}",
-                attempts=attempts, elapsed=now - start,
-                last_error=last_error,
-            )
-        return delay
-
-    def _exhausted(self, attempts: int, start: float, describe: str,
-                   last_error: BaseException | None) -> RetryExhaustedError:
-        elapsed = self.clock.now() - start
-        cause = f": {last_error}" if last_error is not None else ""
-        return RetryExhaustedError(
-            f"{describe}: gave up after {attempts} attempt(s) "
-            f"in {elapsed:g}s{cause}",
-            attempts=attempts, elapsed=elapsed, last_error=last_error,
-        )
-
     def execute(self, operation: Callable, *,
                 breaker: CircuitBreaker | None = None,
                 describe: str = "operation",
@@ -272,44 +214,18 @@ class RetryPolicy:
             TimeoutError: *until* passed before an attempt could start.
             CircuitOpenError: *breaker* is open (short-circuited).
         """
-        rng = random.Random(self.seed)
-        start = self.clock.now()
-        attempts = 0
-        last_error: BaseException | None = None
-        while attempts < self.max_attempts:
-            self._check_entry(until, attempts, start, describe)
-            if breaker is not None:
-                breaker.before_call()
-            attempts += 1
-            attempt_start = self.clock.now()
+        run = _Run(self, breaker, describe, until)
+        while True:
+            run.begin()
             try:
                 result = operation()
-            except NON_RETRYABLE:
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
-            except self.retryable as exc:
-                last_error = exc
-                if breaker is not None:
-                    breaker.record_failure()
-            except BaseException:
-                # Not a service-health signal: a half-open probe that
-                # dies here must not leave the breaker stuck.
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
+            except BaseException as exc:
+                if not run.retryable(exc):
+                    raise
             else:
-                keep, timeout = self._settle_attempt(
-                    breaker, attempts, start, describe, attempt_start)
-                if keep:
+                if run.settled():
                     return result
-                last_error = timeout
-            if attempts >= self.max_attempts:
-                break
-            delay = self._next_delay(attempts, rng, start, until,
-                                     describe, last_error)
-            self.clock.sleep(delay)
-        raise self._exhausted(attempts, start, describe, last_error)
+            self.clock.sleep(run.backoff())
 
     async def _asleep(self, seconds: float) -> None:
         asleep = getattr(self.clock, "asleep", None)
@@ -329,39 +245,130 @@ class RetryPolicy:
         sessions on the event loop keep running while this one backs
         off.
         """
-        rng = random.Random(self.seed)
-        start = self.clock.now()
-        attempts = 0
-        last_error: BaseException | None = None
-        while attempts < self.max_attempts:
-            self._check_entry(until, attempts, start, describe)
-            if breaker is not None:
-                breaker.before_call()
-            attempts += 1
-            attempt_start = self.clock.now()
+        run = _Run(self, breaker, describe, until)
+        while True:
+            run.begin()
             try:
                 result = await operation()
-            except NON_RETRYABLE:
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
-            except self.retryable as exc:
-                last_error = exc
-                if breaker is not None:
-                    breaker.record_failure()
-            except BaseException:
-                if breaker is not None:
-                    breaker.abandon_probe()
-                raise
+            except BaseException as exc:
+                if not run.retryable(exc):
+                    raise
             else:
-                keep, timeout = self._settle_attempt(
-                    breaker, attempts, start, describe, attempt_start)
-                if keep:
+                if run.settled():
                     return result
-                last_error = timeout
-            if attempts >= self.max_attempts:
-                break
-            delay = self._next_delay(attempts, rng, start, until,
-                                     describe, last_error)
-            await self._asleep(delay)
-        raise self._exhausted(attempts, start, describe, last_error)
+            await self._asleep(run.backoff())
+
+
+@dataclass
+class _Run:
+    """One run of a :class:`RetryPolicy`: the attempt loop minus the I/O.
+
+    It owns every decision of the loop — deadline entry check, breaker
+    bookkeeping, attempt-timeout settling and clipped backoff — so
+    :meth:`RetryPolicy.execute` and :meth:`RetryPolicy.execute_async`
+    differ only in how they call the operation and how they sleep.
+    """
+
+    policy: RetryPolicy
+    breaker: CircuitBreaker | None
+    describe: str
+    until: float | None
+    attempts: int = 0
+    last_error: BaseException | None = None
+
+    def __post_init__(self) -> None:
+        self.clock = self.policy.clock
+        self.rng = random.Random(self.policy.seed)
+        self.start = self.attempt_start = self.clock.now()
+
+    def begin(self) -> None:
+        """Admit the next attempt.
+
+        An attempt must not start past the propagated deadline, nor
+        while the breaker is open.
+        """
+        if self.attempts >= self.policy.max_attempts:
+            raise self._exhausted()
+        if self.until is not None and self.clock.now() >= self.until:
+            raise TimeoutError(
+                f"{self.describe}: deadline expired before attempt "
+                f"{self.attempts + 1}",
+                attempts=self.attempts,
+                elapsed=self.clock.now() - self.start,
+            )
+        if self.breaker is not None:
+            self.breaker.before_call()
+        self.attempts += 1
+        self.attempt_start = self.clock.now()
+
+    def retryable(self, exc: BaseException) -> bool:
+        """Book a failed attempt; False when *exc* must propagate."""
+        if isinstance(exc, self.policy.retryable) \
+                and not isinstance(exc, NON_RETRYABLE):
+            self.last_error = exc
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            return True
+        # Not a service-health signal (or a nested policy/breaker that
+        # already gave up): a half-open probe that dies here must not
+        # leave the breaker stuck.
+        if self.breaker is not None:
+            self.breaker.abandon_probe()
+        return False
+
+    def settled(self) -> bool:
+        """Book a successful attempt; False when it came too late."""
+        took = self.clock.now() - self.attempt_start
+        timeout = self.policy.attempt_timeout
+        if timeout is not None and took > timeout:
+            # The caller would have hung up before the answer
+            # arrived: discard it and count a timeout.
+            self.last_error = TimeoutError(
+                f"{self.describe}: attempt {self.attempts} took "
+                f"{took:g}s (timeout {timeout:g}s)",
+                attempts=self.attempts,
+                elapsed=self.clock.now() - self.start,
+            )
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            return False
+        if self.breaker is not None:
+            self.breaker.record_success()
+        return True
+
+    def backoff(self) -> float:
+        """The pause before the next attempt, clipped against every
+        remaining budget.
+
+        A backoff that would sleep the remaining deadline dry buys
+        nothing — there is no room left for the attempt it precedes —
+        so the policy fails *before* sleeping instead of waking up at
+        (or past) the deadline just to fail then.
+        """
+        if self.attempts >= self.policy.max_attempts:
+            raise self._exhausted()
+        delay = self.policy.backoff(self.attempts, self.rng)
+        now = self.clock.now()
+        budgets = []
+        if self.policy.deadline is not None:
+            budgets.append(self.start + self.policy.deadline - now)
+        if self.until is not None:
+            budgets.append(self.until - now)
+        if budgets and delay >= min(budgets):
+            raise RetryExhaustedError(
+                f"{self.describe}: retry deadline exhausted after "
+                f"{self.attempts} attempt(s): {self.last_error}",
+                attempts=self.attempts, elapsed=now - self.start,
+                last_error=self.last_error,
+            )
+        return delay
+
+    def _exhausted(self) -> RetryExhaustedError:
+        elapsed = self.clock.now() - self.start
+        error = self.last_error
+        cause = f": {error}" if error is not None else ""
+        return RetryExhaustedError(
+            f"{self.describe}: gave up after {self.attempts} "
+            f"attempt(s) in {elapsed:g}s{cause}",
+            attempts=self.attempts, elapsed=elapsed, last_error=error,
+        )

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import (
-    NetworkError, ResourceLimitExceeded, ServiceOverloadError,
-    XKMSError, XMLError,
+    ResourceLimitExceeded, ServiceOverloadError, XKMSError, XMLError,
 )
 from repro.primitives.keys import RSAPublicKey
 from repro.resilience.limits import ResourceGuard, ResourceLimits
@@ -29,6 +28,71 @@ Transport = Callable[[str], str]
 #: deadline travels with the request so the far side can stop working
 #: on it the moment the caller stops caring.
 AsyncTransport = Callable[..., object]
+
+
+def _read_result(request: XKMSRequest, response_xml: str,
+                 limits: ResourceLimits) -> XKMSResult:
+    """Parse untrusted result XML under *limits* and check that it
+    answers *request*; anything else is a typed :class:`XKMSError`."""
+    try:
+        result = XKMSResult.from_xml(
+            response_xml, guard=ResourceGuard(limits),
+        )
+    except (XMLError, ResourceLimitExceeded) as exc:
+        raise XKMSError(
+            f"XKMS {request.operation} result is unusable: {exc}"
+        ) from exc
+    # A result without a request id is as unanswerable as one with
+    # the wrong id — accepting it would let any stale or substituted
+    # response satisfy our request.
+    if result.request_id != request.request_id:
+        raise XKMSError(
+            "XKMS result does not answer our request "
+            f"({result.request_id!r} != {request.request_id!r})"
+        )
+    return result
+
+
+# One request builder and one answer reader per operation, shared by
+# the sync and the async client.
+
+
+def _locate_request(key_name: str) -> XKMSRequest:
+    return XKMSRequest("Locate", key_name=key_name)
+
+
+def _located_key(result: XKMSResult) -> RSAPublicKey | None:
+    if not result.success or not result.bindings:
+        return None
+    return result.bindings[0].key
+
+
+def _validate_request(key_name: str,
+                      key: RSAPublicKey | None) -> XKMSRequest:
+    binding = (KeyBinding(key_name, key) if key is not None else None)
+    return XKMSRequest("Validate", key_name=key_name, binding=binding)
+
+
+def _is_valid(result: XKMSResult) -> bool:
+    if not result.success or not result.bindings:
+        return False
+    return result.bindings[0].status == STATUS_VALID
+
+
+def _register_request(key_name: str, key: RSAPublicKey, secret: bytes,
+                      use: str) -> XKMSRequest:
+    return XKMSRequest(
+        "Register",
+        binding=KeyBinding(key_name, key, use=use),
+        authentication=authentication_proof(secret, key_name),
+    )
+
+
+def _revoke_request(key_name: str, secret: bytes) -> XKMSRequest:
+    return XKMSRequest(
+        "Revoke", key_name=key_name,
+        authentication=authentication_proof(secret, key_name),
+    )
 
 
 @dataclass
@@ -57,69 +121,35 @@ class XKMSClient:
                 describe=f"XKMS {operation}",
             )
         if self.circuit_breaker is not None:
-            return self.circuit_breaker.call(
-                lambda: self.transport(request_xml)
-            )
+            with self.circuit_breaker.gate():
+                return self.transport(request_xml)
         return self.transport(request_xml)
 
     def _roundtrip(self, request: XKMSRequest) -> XKMSResult:
         response_xml = self._transfer(request.to_xml(), request.operation)
-        try:
-            result = XKMSResult.from_xml(
-                response_xml, guard=ResourceGuard(self.limits),
-            )
-        except (XMLError, ResourceLimitExceeded) as exc:
-            raise XKMSError(
-                f"XKMS {request.operation} result is unusable: {exc}"
-            ) from exc
-        # A result without a request id is as unanswerable as one with
-        # the wrong id — accepting it would let any stale or substituted
-        # response satisfy our request.
-        if result.request_id != request.request_id:
-            raise XKMSError(
-                "XKMS result does not answer our request "
-                f"({result.request_id!r} != {request.request_id!r})"
-            )
-        return result
+        return _read_result(request, response_xml, self.limits)
 
     def locate(self, key_name: str) -> RSAPublicKey | None:
         """Find the public key bound to *key_name* (``None`` if absent).
 
         Suitable as a :class:`repro.dsig.Verifier` ``key_locator``.
         """
-        result = self._roundtrip(XKMSRequest("Locate", key_name=key_name))
-        if not result.success or not result.bindings:
-            return None
-        return result.bindings[0].key
+        return _located_key(self._roundtrip(_locate_request(key_name)))
 
     def validate(self, key_name: str,
                  key: RSAPublicKey | None = None) -> bool:
         """True iff the binding exists and is currently Valid."""
-        binding = (KeyBinding(key_name, key) if key is not None else None)
-        result = self._roundtrip(XKMSRequest(
-            "Validate", key_name=key_name, binding=binding,
-        ))
-        if not result.success or not result.bindings:
-            return False
-        return result.bindings[0].status == STATUS_VALID
+        return _is_valid(self._roundtrip(_validate_request(key_name, key)))
 
     def register(self, key_name: str, key: RSAPublicKey,
                  secret: bytes, use: str = "signature") -> XKMSResult:
         """Register a binding, proving authorization with *secret*."""
-        request = XKMSRequest(
-            "Register",
-            binding=KeyBinding(key_name, key, use=use),
-            authentication=authentication_proof(secret, key_name),
-        )
-        return self._roundtrip(request)
+        return self._roundtrip(
+            _register_request(key_name, key, secret, use))
 
     def revoke(self, key_name: str, secret: bytes) -> XKMSResult:
         """Revoke a binding."""
-        request = XKMSRequest(
-            "Revoke", key_name=key_name,
-            authentication=authentication_proof(secret, key_name),
-        )
-        return self._roundtrip(request)
+        return self._roundtrip(_revoke_request(key_name, secret))
 
 
 class MuxXKMSTransport:
@@ -209,75 +239,36 @@ class AsyncXKMSClient:
                 describe=f"XKMS {operation}",
                 until=deadline.at,
             )
-        breaker = self.circuit_breaker
-        if breaker is not None:
-            breaker.before_call()
-            try:
-                result = await self.transport(request_xml, deadline)
-            except NetworkError:
-                breaker.record_failure()
-                raise
-            except BaseException:
-                breaker.abandon_probe()
-                raise
-            breaker.record_success()
-            return result
+        if self.circuit_breaker is not None:
+            with self.circuit_breaker.gate():
+                return await self.transport(request_xml, deadline)
         return await self.transport(request_xml, deadline)
 
     async def _roundtrip(self, request: XKMSRequest,
                          deadline: Deadline) -> XKMSResult:
         response_xml = await self._transfer(
             request.to_xml(), request.operation, deadline)
-        try:
-            result = XKMSResult.from_xml(
-                response_xml, guard=ResourceGuard(self.limits),
-            )
-        except (XMLError, ResourceLimitExceeded) as exc:
-            raise XKMSError(
-                f"XKMS {request.operation} result is unusable: {exc}"
-            ) from exc
-        if result.request_id != request.request_id:
-            raise XKMSError(
-                "XKMS result does not answer our request "
-                f"({result.request_id!r} != {request.request_id!r})"
-            )
-        return result
+        return _read_result(request, response_xml, self.limits)
 
     async def locate(self, key_name: str, *,
                      timeout_s: float | None = None):
-        result = await self._roundtrip(
-            XKMSRequest("Locate", key_name=key_name),
-            self.deadline(timeout_s),
-        )
-        if not result.success or not result.bindings:
-            return None
-        return result.bindings[0].key
+        return _located_key(await self._roundtrip(
+            _locate_request(key_name), self.deadline(timeout_s)))
 
     async def validate(self, key_name: str,
                        key: RSAPublicKey | None = None, *,
                        timeout_s: float | None = None) -> bool:
-        binding = (KeyBinding(key_name, key) if key is not None else None)
-        result = await self._roundtrip(XKMSRequest(
-            "Validate", key_name=key_name, binding=binding,
-        ), self.deadline(timeout_s))
-        if not result.success or not result.bindings:
-            return False
-        return result.bindings[0].status == STATUS_VALID
+        return _is_valid(await self._roundtrip(
+            _validate_request(key_name, key), self.deadline(timeout_s)))
 
     async def register(self, key_name: str, key: RSAPublicKey,
                        secret: bytes, use: str = "signature", *,
                        timeout_s: float | None = None) -> XKMSResult:
-        request = XKMSRequest(
-            "Register",
-            binding=KeyBinding(key_name, key, use=use),
-            authentication=authentication_proof(secret, key_name),
-        )
-        return await self._roundtrip(request, self.deadline(timeout_s))
+        return await self._roundtrip(
+            _register_request(key_name, key, secret, use),
+            self.deadline(timeout_s))
 
     async def revoke(self, key_name: str, secret: bytes, *,
                      timeout_s: float | None = None) -> XKMSResult:
-        request = XKMSRequest(
-            "Revoke", key_name=key_name,
-            authentication=authentication_proof(secret, key_name),
-        )
-        return await self._roundtrip(request, self.deadline(timeout_s))
+        return await self._roundtrip(
+            _revoke_request(key_name, secret), self.deadline(timeout_s))

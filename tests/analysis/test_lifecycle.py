@@ -343,6 +343,37 @@ def test_lif404_real_service_chain_is_proved_not_skipped():
     assert [f for f in findings if f.rule_id == "LIF404"] == []
 
 
+
+def test_spec_names_resolve_to_functions_under_src():
+    """The spec names service entry points and deadline factories by
+    hand; a rename in src/ would silently unhook LIF404's deadline
+    tracking from them, so every name must still be defined there."""
+    import ast
+
+    from repro.analysis import lifespec
+
+    qualnames, names = set(), set()
+    for root, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name),
+                      encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in tree.body:
+                owner = node if isinstance(node, ast.ClassDef) else None
+                for func in node.body if owner else [node]:
+                    if isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        names.add(func.name)
+                        qualnames.add(f"{owner.name}.{func.name}"
+                                      if owner else func.name)
+    missing = [suffix for suffix in lifespec.ENTRY_QNAME_SUFFIXES
+               if suffix not in qualnames]
+    missing += [name for name in sorted(lifespec.DEADLINE_FACTORY_NAMES)
+                if name not in names]
+    assert missing == []
+
 # -- LIF405: acquired resource released on an escapable path -----------------
 
 

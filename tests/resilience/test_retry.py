@@ -363,3 +363,154 @@ def test_abandoned_probe_keeps_original_cooldown():
     breaker.before_call()
     assert breaker.state == STATE_HALF_OPEN
     assert breaker.probes == 2
+
+
+
+# -- one attempt loop, two adapters ----------------------------------------------
+
+#: Policy cases run through ``execute`` (on a SimulatedClock) and
+#: ``execute_async`` (on a VirtualClock).  Each run is a script of
+#: attempts, ``(seconds the attempt takes, value or exception)``; the
+#: runs of one case share the policy, the clock and the breaker.
+#: *expect* names the last run's outcome, so a case cannot silently
+#: test nothing.
+DOWN = NetworkError("down")
+POLICY_CASES = {
+    "happy-path": dict(runs=[[(0, "value")]], expect="value"),
+    "fails-twice-succeeds-third": dict(
+        policy=dict(max_attempts=3, base_delay=1.0, multiplier=2.0,
+                    jitter=0.1, seed=42),
+        runs=[[(0, NetworkError("t1")), (0, NetworkError("t2")),
+               (0, "ok")]],
+        expect="ok"),
+    "attempts-exhausted": dict(
+        policy=dict(max_attempts=3, seed=1), runs=[[(0, DOWN)] * 3],
+        expect="RetryExhaustedError"),
+    "deadline-budget-exhausted": dict(
+        policy=dict(max_attempts=10, base_delay=1.0, multiplier=2.0,
+                    jitter=0.0, deadline=5.0),
+        runs=[[(0, DOWN)] * 10], expect="RetryExhaustedError"),
+    "attempt-timeout-discards-slow-answer": dict(
+        policy=dict(max_attempts=2, attempt_timeout=1.0, seed=0),
+        runs=[[(3.0, "late answer")] * 2], expect="RetryExhaustedError"),
+    "fast-answer-beats-attempt-timeout": dict(
+        policy=dict(attempt_timeout=1.0), runs=[[(0.5, "in time")]],
+        expect="in time"),
+    "non-network-error-propagates": dict(
+        runs=[[(0, ValueError("logic bug"))]], expect="ValueError"),
+    "control-flow-error-never-retried": dict(
+        policy=dict(max_attempts=5),
+        runs=[[(0, RetryExhaustedError("inner policy done", attempts=3))]],
+        expect="RetryExhaustedError"),
+    "propagated-deadline-clips-backoff": dict(
+        policy=dict(max_attempts=5, base_delay=4.0, multiplier=2.0,
+                    jitter=0.0),
+        until=6.0, runs=[[(1.0, DOWN)] * 5], expect="RetryExhaustedError"),
+    "propagated-deadline-already-passed": dict(
+        until=0.0, runs=[[(0, "never runs")]], expect="TimeoutError"),
+    "no-attempts-allowed": dict(
+        policy=dict(max_attempts=0), runs=[[]],
+        expect="RetryExhaustedError"),
+    "breaker-opens-then-short-circuits": dict(
+        policy=dict(max_attempts=2),
+        breaker=dict(failure_threshold=2, cooldown=10.0),
+        runs=[[(0, DOWN)] * 2, [(0, "x")]], expect="CircuitOpenError"),
+    "late-answer-fails-the-probe": dict(
+        policy=dict(max_attempts=2, base_delay=1.0, jitter=0.0,
+                    attempt_timeout=1.0),
+        breaker=dict(failure_threshold=1, cooldown=0.5),
+        runs=[[(0, DOWN), (2.0, "late")]], expect="RetryExhaustedError"),
+    "abandoned-probe-then-recovery": dict(
+        policy=dict(max_attempts=3, base_delay=1.0, jitter=0.0),
+        breaker=dict(failure_threshold=1, cooldown=0.5),
+        runs=[[(0, DOWN), (0, ValueError("bug"))], [(0, "back")]],
+        expect="back"),
+}
+
+
+class _Case:
+    """One policy case on one clock: the scripted attempts and what a
+    caller and an operator can observe afterwards."""
+
+    def __init__(self, case: dict, clock):
+        self.case = case
+        self.clock = clock
+        self.policy = RetryPolicy(clock=clock, **case.get("policy", {}))
+        self.breaker = (CircuitBreaker(clock=clock, **case["breaker"])
+                        if "breaker" in case else None)
+        self.options = dict(breaker=self.breaker, describe="case",
+                            until=case.get("until"))
+        self.calls: list[float] = []
+        self.outcomes: list[tuple] = []
+
+    def script(self, run):
+        steps = iter(run)
+
+        def attempt():
+            self.calls.append(self.clock.now())
+            seconds, outcome = next(steps)
+            self.clock.advance(seconds)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+        return attempt
+
+    def failed(self, error: Exception) -> None:
+        last = getattr(error, "last_error", None)
+        self.outcomes.append((
+            "error", type(error).__name__, str(error),
+            getattr(error, "attempts", None),
+            type(last).__name__ if last is not None else None))
+
+    def observed(self) -> dict:
+        breaker = self.breaker
+        return dict(
+            outcomes=self.outcomes, calls=self.calls,
+            sleeps=list(self.clock.sleeps), now=self.clock.now(),
+            breaker=None if breaker is None else (
+                breaker.state, breaker.consecutive_failures,
+                breaker.times_opened, breaker.short_circuits,
+                breaker.probes, breaker.opened_at))
+
+
+def _through_execute(case: dict) -> dict:
+    run = _Case(case, SimulatedClock())
+    for script in case["runs"]:
+        try:
+            run.outcomes.append(("result", run.policy.execute(
+                run.script(script), **run.options)))
+        except Exception as error:
+            run.failed(error)
+    return run.observed()
+
+
+def _through_execute_async(case: dict) -> dict:
+    run = _Case(case, VirtualClock())
+
+    async def main():
+        for script in case["runs"]:
+            attempt = run.script(script)
+
+            async def operation():
+                return attempt()
+
+            try:
+                run.outcomes.append(("result", await run.policy
+                                     .execute_async(operation,
+                                                    **run.options)))
+            except Exception as error:
+                run.failed(error)
+
+    run.clock.run(main())
+    return run.observed()
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_CASES))
+def test_execute_and_execute_async_agree(name):
+    """Same result or error (type, message, attempts, last error),
+    same attempt instants, same ``clock.sleeps`` and same breaker
+    counters from both adapters of the one attempt loop."""
+    case = POLICY_CASES[name]
+    sync = _through_execute(case)
+    assert _through_execute_async(case) == sync
+    assert sync["outcomes"][-1][1] == case["expect"]
