@@ -8,6 +8,7 @@ repository root so EXPERIMENTS.md can be refreshed from a plain run.
 from __future__ import annotations
 
 import os
+import random
 import time
 from dataclasses import dataclass
 
@@ -143,6 +144,54 @@ def build_manifest(name: str = "bench-app", *, scripts: int = 1,
     for _ in range(scripts):
         manifest.add_script(body)
     return manifest
+
+
+#: Modulus of the pinned script's running value: small enough that
+#: every intermediate product stays exact in a float.
+SCRIPT_MODULUS = 1_000_003
+
+
+def pinned_script(lines: int = 70, seed: int = 20050902) -> tuple[str, str]:
+    """A *lines*-line menu script and the console line it must print.
+
+    The shape is the player's launch-path script: a running value
+    stepped through a helper function, one statement per line, with
+    a short counted loop on about one line in five.
+    """
+    rng = random.Random(seed)
+    acc = rng.randrange(1, SCRIPT_MODULUS)
+    mult = rng.randrange(2, 997)
+    body = [
+        f"var acc = {acc};",
+        f"function step(x, k) {{ return (x * {mult} + k) % "
+        f"{SCRIPT_MODULUS}; }}",
+    ]
+    while len(body) < lines - 1:
+        if rng.random() < 0.2:
+            rounds = rng.randint(2, 6)
+            body.append(
+                f"for (var i = 0; i < {rounds}; i = i + 1) "
+                "{ acc = step(acc, i); }"
+            )
+            for i in range(rounds):
+                acc = (acc * mult + i) % SCRIPT_MODULUS
+        else:
+            k = rng.randrange(1000)
+            body.append(f"acc = step(acc, {k});")
+            acc = (acc * mult + k) % SCRIPT_MODULUS
+    body.append('player.log("menu:" + acc);')
+    return "\n".join(body) + "\n", f"menu:{acc}"
+
+
+def run_pinned_script(source: str) -> tuple[list[str], int]:
+    """Run *source* with a logging ``player`` host object; return the
+    console lines and the instruction count."""
+    from repro.markup import HostObject, Interpreter
+
+    console: list[str] = []
+    player = HostObject("player", methods={"log": console.append})
+    result = Interpreter({"player": player}).run(source)
+    return console, result.instructions
 
 
 def report(experiment: str, lines: list[str]) -> None:

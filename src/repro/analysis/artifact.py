@@ -236,8 +236,13 @@ class ArtifactAuditor:
         self.audit_element(root, name)
 
     def audit_disc_image(self, image, name: str) -> None:
-        """Audit a :class:`~repro.disc.image.DiscImage`."""
-        for problem in image.validate_structure():
+        """Audit a :class:`~repro.disc.image.DiscImage`.
+
+        The structural check and the audit share one parse of the
+        cluster; a cluster the check could not parse is parsed again
+        without quotas, so its own parse error is reported as well."""
+        cluster, problems = image.checked_cluster()
+        for problem in problems:
             self.result.findings.append(SEC041.finding(name, problem))
         cluster_path = image.cluster_path()
         had_signature = False
@@ -245,13 +250,16 @@ class ArtifactAuditor:
             if not path.endswith(".xml"):
                 continue
             member = f"{name}!{path}"
-            try:
-                root = parse_element(image.read(path))
-            except ReproError as exc:
-                self.result.findings.append(SEC041.finding(
-                    member, f"does not parse: {exc}"
-                ))
-                continue
+            if path == cluster_path and cluster is not None:
+                root = cluster
+            else:
+                try:
+                    root = parse_element(image.read(path))
+                except ReproError as exc:
+                    self.result.findings.append(SEC041.finding(
+                        member, f"does not parse: {exc}"
+                    ))
+                    continue
             if path == cluster_path and \
                     root.find("Signature", DSIG_NS) is not None:
                 had_signature = True

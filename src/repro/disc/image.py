@@ -24,7 +24,7 @@ from repro.disc.clipinfo import ClipInfo
 from repro.disc.formats import BD_ROM, DiscFormat
 from repro.disc.hierarchy import InteractiveCluster
 from repro.resilience.limits import ResourceGuard
-from repro.xmlcore import parse_element
+from repro.xmlcore import Element, parse_element
 
 CLUSTER_PATH = "BDMV/CLUSTER/cluster.xml"
 STREAM_DIR = "BDMV/STREAM"
@@ -107,19 +107,16 @@ class DiscImage:
         return self.layout.cluster_path()
 
     def cluster(self) -> InteractiveCluster:
-        """Parse the Interactive Cluster markup.
+        """Parse the Interactive Cluster markup."""
+        return InteractiveCluster.from_element(self.cluster_element())
+
+    def cluster_element(self) -> Element:
+        """The raw cluster element (for verification in context).
 
         Disc markup is untrusted input (a hostile disc is the paper's
         first threat vector), so the parse runs under default resource
         quotas.
         """
-        return InteractiveCluster.from_element(
-            parse_element(self.read(self.layout.cluster_path()),
-                          guard=ResourceGuard.default())
-        )
-
-    def cluster_element(self):
-        """The raw cluster element (for verification in context)."""
         return parse_element(self.read(self.layout.cluster_path()),
                              guard=ResourceGuard.default())
 
@@ -137,19 +134,36 @@ class DiscImage:
         Checks that the cluster parses and that every referenced clip
         has both its stream and its clip-information file.
         """
-        problems: list[str] = []
-        if not self.exists(self.layout.cluster_path()):
-            return [f"missing {self.layout.cluster_path()}"]
+        return self.checked_cluster()[1]
+
+    def checked_cluster(self) -> tuple[Element | None, list[str]]:
+        """Parse the cluster once and check the disc's structure on it.
+
+        Returns ``(element, problems)``: the cluster element as
+        :meth:`cluster_element` parses it (``None`` when the cluster is
+        missing or does not parse) and the problems
+        :meth:`validate_structure` reports.  A reader that goes on to
+        verify or audit the cluster uses this element rather than
+        parsing the cluster a second time.
+        """
+        path = self.layout.cluster_path()
+        if not self.exists(path):
+            return None, [f"missing {path}"]
         try:
-            cluster = self.cluster()
+            element = self.cluster_element()
         except Exception as exc:
-            return [f"cluster does not parse: {exc}"]
+            return None, [f"cluster does not parse: {exc}"]
+        try:
+            cluster = InteractiveCluster.from_element(element)
+        except Exception as exc:
+            return element, [f"cluster does not parse: {exc}"]
+        problems: list[str] = []
         for ref in cluster.clip_refs():
             if not self.exists(self.layout.stream_path(ref)):
                 problems.append(f"clip {ref}: missing stream file")
             if not self.exists(self.layout.clipinfo_path(ref)):
                 problems.append(f"clip {ref}: missing clip info")
-        return problems
+        return element, problems
 
     # -- host file system round trip -----------------------------------------------------
 

@@ -2,14 +2,17 @@
 
 Runs manifest scripts against a host environment (the player exposes
 its API — local storage, presentation control, permission-gated
-resources — as host objects).  Two hardening measures reflect the
+resources — as host objects).  Three hardening measures reflect the
 threat model's "malicious application" concerns: a configurable
-instruction budget (runaway-script protection) and host access strictly
-limited to the objects the engine chose to expose.
+instruction budget (runaway-script protection), a fixed bound on the
+depth of script calls (runaway recursion; the parser bounds nesting
+within a script) and host access strictly limited to the objects the
+engine chose to expose.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import ScriptRuntimeError
@@ -17,13 +20,18 @@ from repro.markup.script_parser import parse_script
 
 _UNDEFINED = object()   # distinguish "no value" from null (None)
 
+#: Deepest chain of script function calls.  Together with the parser's
+#: ``MAX_DEPTH`` it keeps a script's recursion well inside Python's
+#: stack, so a runaway recursion fails with a ScriptRuntimeError.
+MAX_CALL_DEPTH = 64
+
 
 class _Break(Exception):
-    pass
+    statement = "break"
 
 
 class _Continue(Exception):
-    pass
+    statement = "continue"
 
 
 class _Return(Exception):
@@ -121,6 +129,7 @@ class Interpreter:
         self.globals = Environment()
         self.max_instructions = max_instructions
         self._instructions = 0
+        self._calls = 0
         if include_stdlib:
             from repro.markup.script_stdlib import (
                 STANDARD_FUNCTIONS, standard_globals,
@@ -136,9 +145,10 @@ class Interpreter:
 
     def run(self, source: str) -> ExecutionResult:
         """Parse and execute *source* in the global environment."""
-        program = parse_script(source)
-        self._instructions = 0
-        self._exec_block(program[1], self.globals)
+        with _script_errors():
+            program = parse_script(source)
+            self._instructions = 0
+            self._exec_block(program[1], self.globals)
         return ExecutionResult(
             globals={
                 k: v for k, v in self.globals.values.items()
@@ -152,7 +162,8 @@ class Interpreter:
         """Invoke a script-defined global function from the host side
         (event dispatch: ``onKey``, ``onLoad`` ...)."""
         function = self.globals.lookup(name)
-        return self._invoke(function, list(args))
+        with _script_errors():
+            return self._invoke(function, list(args))
 
     # -- execution ------------------------------------------------------------------
 
@@ -391,14 +402,22 @@ class Interpreter:
     def _invoke(self, function, args):
         self._tick()
         if isinstance(function, ScriptFunction):
+            if self._calls >= MAX_CALL_DEPTH:
+                raise ScriptRuntimeError(
+                    f"call depth exceeded ({MAX_CALL_DEPTH}); "
+                    "runaway recursion aborted"
+                )
             env = Environment(function.closure)
             for index, param in enumerate(function.params):
                 env.declare(param,
                             args[index] if index < len(args) else None)
+            self._calls += 1
             try:
                 self._exec(function.body, env)
             except _Return as ret:
                 return ret.value
+            finally:
+                self._calls -= 1
             return None
         if callable(function):
             from repro.errors import PermissionDeniedError
@@ -452,14 +471,14 @@ class Interpreter:
 
     def _get_index(self, obj, index):
         if isinstance(obj, list):
-            i = int(_number(index))
+            i = _integer(index)
             if not 0 <= i < len(obj):
                 return None
             return obj[i]
         if isinstance(obj, dict):
             return obj.get(_stringify(index))
         if isinstance(obj, str):
-            i = int(_number(index))
+            i = _integer(index)
             if not 0 <= i < len(obj):
                 return None
             return obj[i]
@@ -469,7 +488,7 @@ class Interpreter:
 
     def _set_index(self, obj, index, value) -> None:
         if isinstance(obj, list):
-            i = int(_number(index))
+            i = _integer(index)
             if 0 <= i < len(obj):
                 obj[i] = value
             elif i == len(obj):
@@ -482,6 +501,30 @@ class Interpreter:
             raise ScriptRuntimeError(
                 f"cannot index-assign {type(obj).__name__}"
             )
+
+
+@contextmanager
+def _script_errors():
+    """Let only typed errors leave a script run.
+
+    A ``break``, ``continue`` or ``return`` with nothing to leave would
+    otherwise escape as the interpreter's private signal.  ``MAX_DEPTH``
+    and ``MAX_CALL_DEPTH`` bound nesting and recursion one at a time; a
+    script that combines deep nesting with deep recursion, or runs on
+    an already deep host stack, can still reach Python's limit, and
+    must fail as a script error all the same."""
+    try:
+        yield
+    except (_Break, _Continue) as signal:
+        raise ScriptRuntimeError(
+            f"{signal.statement!r} outside a loop"
+        ) from None
+    except _Return:
+        raise ScriptRuntimeError("'return' outside a function") from None
+    except RecursionError:
+        raise ScriptRuntimeError(
+            "script nesting exceeds the interpreter's stack"
+        ) from None
 
 
 # -- coercion helpers -------------------------------------------------------
@@ -516,6 +559,17 @@ def _number(value) -> float:
     raise ScriptRuntimeError(
         f"cannot convert {type(value).__name__} to a number"
     )
+
+
+def _integer(value) -> int:
+    """*value* as an array or string index."""
+    number = _number(value)
+    try:
+        return int(number)
+    except (OverflowError, ValueError):
+        raise ScriptRuntimeError(
+            f"index {_stringify(number)} is not a finite number"
+        ) from None
 
 
 def _stringify(value) -> str:

@@ -153,12 +153,11 @@ class DiscPlayer:
             return self._insert_disc(image)
 
     def _insert_disc(self, image: DiscImage) -> DiscSession:
-        problems = image.validate_structure()
+        cluster_element, problems = image.checked_cluster()
         if problems:
             raise DiscError(
                 "disc rejected: " + "; ".join(problems)
             )
-        cluster_element = image.cluster_element()
         from repro.dsig.verifier import Verifier
         verifier = Verifier(
             trust_store=self.trust_store, require_trusted_key=True,

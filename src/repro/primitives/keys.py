@@ -46,9 +46,12 @@ class RSAPublicKey:
         return cls(n=n, e=e)
 
     def fingerprint(self) -> str:
-        """Stable identifier for the key (hex SHA-256 of n||e)."""
-        from repro.primitives.sha import sha256
-        return sha256(int_to_bytes(self.n) + int_to_bytes(self.e)).hex()[:32]
+        """Stable identifier for the key (hex SHA-256 of n||e), hashed
+        by the default provider."""
+        from repro.primitives.provider import get_provider
+        return get_provider().digest(
+            "sha256", int_to_bytes(self.n) + int_to_bytes(self.e)
+        ).hex()[:32]
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ class SymmetricKey:
 
     def fingerprint(self) -> str:
         """Stable identifier (hex SHA-256 prefix) — safe to log."""
-        from repro.primitives.sha import sha256
-        return sha256(self.data).hex()[:32]
+        from repro.primitives.provider import get_provider
+        return get_provider().digest("sha256", self.data).hex()[:32]
 
     def __repr__(self) -> str:
         return (f"SymmetricKey({self.algorithm}, {self.bit_length}-bit, "

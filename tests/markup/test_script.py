@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import ScriptRuntimeError, ScriptSyntaxError
-from repro.markup import HostObject, Interpreter, run_script, tokenize
-from repro.markup.script_parser import parse_script
+from repro.markup import (
+    HostObject, Interpreter, Token, run_script, tokenize,
+)
+from repro.markup.script_interp import MAX_CALL_DEPTH
+from repro.markup.script_parser import MAX_DEPTH, parse_script
 
 
 # -- lexer -------------------------------------------------------------------
@@ -26,6 +29,17 @@ def test_tokenize_errors():
         tokenize("var x = #;")
 
 
+def test_numbers_are_decimal_digits_only():
+    # Unicode decimal digits are numbers; other digits are not.
+    assert tokenize("\u0663")[0] == Token("number", "\u0663", 1)
+    assert run_script("var x = \u0663 + 1;").globals["x"] == 4.0
+    for source in ("var x = \u00b2;", "var x = 1\u00b2;",
+                   "var x = .\u00b2;", "var x = \u2460;"):
+        with pytest.raises(ScriptSyntaxError,
+                           match="unexpected character .* at line 1"):
+            run_script(source)
+
+
 def test_block_comments_and_lines():
     tokens = tokenize("a /* multi\nline */ b")
     names = [t.value for t in tokens if t.kind == "name"]
@@ -44,6 +58,29 @@ def test_parse_errors_report_line():
         parse_script("1 = 2;")
     with pytest.raises(ScriptSyntaxError):
         parse_script("function () {}")  # declarations need names
+
+
+@pytest.mark.parametrize("source", [
+    "var x = " + "(" * 3000 + "1" + ")" * 3000 + ";",
+    "{" * 3000 + "}" * 3000,
+    "var x = " + " + ".join(["1"] * 5000) + ";",
+    "var x = " + "!" * 3000 + "true;",
+    "var x = a" + ".b" * 3000 + ";",
+    "x" + " = x" * 3000 + ";",
+    "var x = " + "a ? b : " * 3000 + "c;",
+    "if (a) x; " + "else if (a) x; " * 3000,
+])
+def test_nesting_is_bounded(source):
+    with pytest.raises(ScriptSyntaxError,
+                       match=f"nesting deeper than {MAX_DEPTH} levels"):
+        run_script(source)
+
+
+def test_nesting_up_to_the_bound_parses_and_runs():
+    depth = MAX_DEPTH // 4
+    result = run_script("var x = " + "(" * depth + "1" + ")" * depth
+                        + " + " + " + ".join(["1"] * depth) + ";")
+    assert result.globals["x"] == depth + 1.0
 
 
 def test_operator_precedence():
@@ -143,6 +180,58 @@ def test_instruction_budget_stops_runaway():
     from repro.threat import RUNAWAY_SCRIPT
     with pytest.raises(ScriptRuntimeError, match="budget"):
         run_script(RUNAWAY_SCRIPT, max_instructions=5_000)
+
+
+def test_call_depth_is_bounded():
+    with pytest.raises(ScriptRuntimeError, match="call depth exceeded"):
+        run_script("function f(n) { return f(n + 1); } f(0);")
+    result = run_script(
+        "function down(n) { if (n == 0) return 0; return 1 + down(n - 1); }"
+        f" var d = down({MAX_CALL_DEPTH - 1});")
+    assert result.globals["d"] == MAX_CALL_DEPTH - 1
+    with pytest.raises(ScriptRuntimeError, match="call depth exceeded"):
+        run_script(
+            "function down(n) { if (n == 0) return 0;"
+            f" return 1 + down(n - 1); }} var d = down({MAX_CALL_DEPTH});")
+
+
+def test_call_depth_is_released_after_an_error():
+    interp = Interpreter()
+    with pytest.raises(ScriptRuntimeError, match="call depth"):
+        interp.run("function f(n) { return f(n + 1); } f(0);")
+    assert interp.run("function g() { return 1; } var r = g();") \
+        .globals["r"] == 1.0
+
+
+def test_deep_nesting_times_deep_recursion_fails_typed():
+    body = "{ " * 60 + "r = f(n - 1);" + " }" * 60
+    with pytest.raises(ScriptRuntimeError,
+                       match="exceeds the interpreter's stack") as excinfo:
+        run_script("var r = 0; function f(n) {"
+                   f" if (n > 0) {body} return 0; }}"
+                   f" f({MAX_CALL_DEPTH - 1});")
+    assert excinfo.value.__cause__ is None
+
+
+@pytest.mark.parametrize("source,message", [
+    ("return 1;", "'return' outside a function"),
+    ("break;", "'break' outside a loop"),
+    ("continue;", "'continue' outside a loop"),
+    ("function f() { break; } f();", "'break' outside a loop"),
+])
+def test_control_flow_with_nothing_to_leave_fails_typed(source, message):
+    with pytest.raises(ScriptRuntimeError, match=message):
+        run_script(source)
+
+
+def test_non_finite_index_fails_typed():
+    huge = "1" + "0" * 400
+    for source in (f"var a = [1]; var x = a[{huge}];",
+                   f"var a = [1]; var x = a[{huge} - {huge}];",
+                   f"var a = [1]; a[{huge}] = 2;",
+                   f"var x = 'abc'[{huge}];"):
+        with pytest.raises(ScriptRuntimeError, match="not a finite number"):
+            run_script(source)
 
 
 def test_budget_counts_across_scripts():

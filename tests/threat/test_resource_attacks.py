@@ -13,6 +13,7 @@ from repro.core import AuthoringPipeline, PlaybackPipeline
 from repro.disc import ApplicationManifest
 from repro.errors import (
     ApplicationRejectedError, ReproError, ResourceLimitExceeded,
+    ScriptRuntimeError, ScriptSyntaxError,
 )
 from repro.network import Channel, ContentServer, DownloadClient
 from repro.permissions import PermissionRequestFile
@@ -30,10 +31,11 @@ LAYOUT = (
 )
 
 
-def signed_package(pki, device_key, rng) -> bytes:
+def signed_package(pki, device_key, rng,
+                   script: str = 'player.log("running");') -> bytes:
     manifest = ApplicationManifest("corpus-app")
     manifest.add_submarkup("layout", parse_element(LAYOUT))
-    manifest.add_script('player.log("running");')
+    manifest.add_script(script)
     prf = PermissionRequestFile("corpus-app", "org.studio")
     pipeline = AuthoringPipeline(
         pki.studio, recipient_key=device_key.public_key(), rng=rng,
@@ -214,3 +216,35 @@ def test_bomb_never_executes_with_trust(trust_store, device_key):
             + "</applicationPackage>").encode()
     with pytest.raises(ApplicationRejectedError, match="unsigned"):
         pipeline.open_package(bomb)
+
+
+# -- hostile scripts in a signed package -------------------------------------
+
+
+@pytest.mark.parametrize("script,error", [
+    ("var x = \u00b2;", ScriptSyntaxError),
+    ("var x = " + "(" * 3000 + "1" + ")" * 3000 + ";", ScriptSyntaxError),
+    ("{" * 3000 + "}" * 3000, ScriptSyntaxError),
+    ("var x = " + " + ".join(["1"] * 5000) + ";", ScriptSyntaxError),
+    ("function f(n) { return f(n + 1); } f(0);", ScriptRuntimeError),
+], ids=["non-decimal-digit", "nested-parens", "nested-blocks",
+        "long-chain", "runaway-recursion"])
+def test_hostile_script_in_signed_download_fails_typed(
+        pki, trust_store, device_key, rng, script, error):
+    """A signature vouches for who wrote a script, not for what it
+    does: a trusted package whose script would exhaust the player's
+    stack or feed the number parser a non-decimal digit fails with a
+    typed script error that chains no Python traceback."""
+    server = ContentServer()
+    server.publish("/apps/hostile.pkg",
+                   signed_package(pki, device_key, rng, script))
+    player = DiscPlayer(trust_store, device_key=device_key)
+    application = player.download_application(
+        DownloadClient(server, Channel()), "/apps/hostile.pkg",
+        secure=False)
+    assert application.trusted
+    with pytest.raises(error) as excinfo:
+        player.run_application(application)
+    assert excinfo.value.__cause__ is None
+    assert excinfo.value.__context__ is None \
+        or excinfo.value.__suppress_context__
