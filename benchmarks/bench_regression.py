@@ -69,10 +69,11 @@ DIRECTIONS = {
     # (1.0 = free; the acceptance envelope is <= 1.05 on the committing
     # machine, gated here at baseline * (1 + threshold) for CI noise)
     "guard_overhead_ratio": "lower",
-    # ABL-ANALYZE: the one interprocedural driver over the whole repo
-    # (lowering once, then the TNT/CON/LIF packs); the warm ratio is
-    # the point of the content-hash cache (an unchanged tree must be
-    # near-free), so a ratio drift is a cache regression
+    # ABL-ANALYZE: `repro.tools analyze` over the whole repo (one
+    # parse, the LIN pack and lowering, then the TNT/CON/LIF packs);
+    # the warm ratio is the point of the content-hash cache (an
+    # unchanged tree must be near-free), so a ratio drift is a cache
+    # regression
     "analyze_cold_norm": "lower",
     "analyze_warm_ratio": "lower",
     # ABL-DUR: journaled commits and recovery replay on the in-memory
@@ -272,7 +273,7 @@ def run_benchmarks() -> dict:
         repeat=15,
     )
 
-    # ABL-ANALYZE: the one interprocedural driver, cold vs. memoized.
+    # ABL-ANALYZE: the one analysis command, cold vs. memoized.
     import shutil
     import tempfile
 

@@ -1,14 +1,15 @@
-"""ABL-ANALYZE — the one interprocedural driver, cold vs. warm.
+"""ABL-ANALYZE — the one analysis command, cold vs. warm.
 
-``repro.tools analyze`` lowers the tree to the callgraph IR once and
+``repro.tools analyze`` parses each module once, runs the invariant
+(LIN) pack on the tree, lowers the same tree to the callgraph IR and
 runs the taint (TNT), concurrency (CON) and lifecycle (LIF) rule packs
 over it (DESIGN.md §8); CI runs it as a blocking gate.  The bench times
-the cold run (lowering plus all three packs, starting from an empty
-cache file) and the warm run (an unchanged tree answered from the
-run-level memo), and reports the lowering time and each pack's engine
-time of the last cold run.  ``bench_regression.py`` gates the
-normalized cold time (``analyze_cold_norm``) and the warm/cold ratio
-(``analyze_warm_ratio``).
+the cold run (parsing, lowering and all four packs, starting from an
+empty cache file) and the warm run (an unchanged tree answered from
+the run-level memo), and reports the parse, lowering and LIN time and
+each whole-program pack's engine time of the last cold run.
+``bench_regression.py`` gates the normalized cold time
+(``analyze_cold_norm``) and the warm/cold ratio (``analyze_warm_ratio``).
 """
 
 import os
@@ -55,8 +56,8 @@ def test_abl_analyze(tmp_path):
 
     lines = [
         f"modules analyzed: {result.scanned}",
-        f"cold (lowering + TNT/CON/LIF packs): {cold_time * 1000:.1f} ms",
-        f"  lowering to the callgraph IR: {timings['lower'] * 1000:.1f} ms",
+        f"cold (lowering + LIN/TNT/CON/LIF packs): {cold_time * 1000:.1f} ms",
+        f"  parse, LIN pack and IR lowering: {timings['lower'] * 1000:.1f} ms",
         f"  TNT pack (taint fixpoint): {timings['TNT'] * 1000:.1f} ms",
         f"  CON pack (root walk): {timings['CON'] * 1000:.1f} ms",
         f"  LIF pack (lifecycle scans): {timings['LIF'] * 1000:.1f} ms",

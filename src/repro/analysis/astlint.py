@@ -1,6 +1,10 @@
-"""AST-based invariant linter for the repo's own code.
+"""The LIN pack: AST invariant rules over the repo's own code.
 
-Machine-checks the contracts the test suite can only spot-check:
+Machine-checks the contracts the test suite can only spot-check.
+:mod:`repro.analysis.interproc` parses each module once and lowers it
+to the callgraph IR; a :class:`ModuleLint` sees every node of the walk
+that lowering makes anyway, so the rules add no walk of their own, and
+their findings are cached with the module's IR.
 
 * ``LIN101`` — every mutator in the XML tree model propagates revision
   stamps (the ``perf.cache`` safety contract: a cached digest must
@@ -38,7 +42,11 @@ import builtins as _builtins
 import os
 
 from repro.analysis.engine import register
-from repro.analysis.findings import AnalysisResult, Severity, display_path
+from repro.analysis.findings import Severity
+
+#: Part of the analysis cache key: bump it whenever a rule changes what
+#: it reports, so cached LIN findings are recomputed.
+SPEC_VERSION = 1
 
 LIN101 = register(
     "LIN101", "tree mutator must bump revision stamps", Severity.ERROR,
@@ -172,15 +180,16 @@ def _is_secret_hint(node: ast.expr) -> bool:
     return bool(tokens & _SECRET_TOKENS) and not (tokens & _BENIGN_TOKENS)
 
 
-def _mentions_hmac(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Name, ast.Attribute, ast.FunctionDef)):
-            hint = getattr(child, "id", None) or \
-                getattr(child, "attr", None) or \
-                getattr(child, "name", "")
-            if "hmac" in hint.lower():
-                return True
-    return False
+def _is_hmac_name(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        hint = node.id
+    elif isinstance(node, ast.Attribute):
+        hint = node.attr
+    elif isinstance(node, ast.FunctionDef):
+        hint = node.name
+    else:
+        return False
+    return "hmac" in hint.lower()
 
 
 def _dotted(node: ast.expr) -> str:
@@ -194,12 +203,15 @@ def _dotted(node: ast.expr) -> str:
     return ".".join(reversed(parts))
 
 
-class _FileLint:
-    """All code rules over one parsed module."""
+class ModuleLint:
+    """The LIN rules over one module.
 
-    def __init__(self, path: str, tree: ast.Module):
+    Feed every node of one walk over the module to :meth:`visit`, then
+    call :meth:`finish` for the findings.
+    """
+
+    def __init__(self, path: str):
         self.path = path
-        self.tree = tree
         self.findings = []
         normalized = path.replace(os.sep, "/")
         self.in_primitives = "/primitives/" in normalized
@@ -224,37 +236,61 @@ class _FileLint:
             or ("/resilience/" in normalized
                 and not normalized.endswith(_DURABLE_LAYER_FILES))
         )
+        # Nodes kept for the rules that need the whole module (LIN104
+        # needs the import table, which is complete only after the walk).
+        self._clock_calls, self._raises, self._tries = [], [], []
+        self._classes, self._functions = [], []
+        self._saw_hmac = False
+
+    def visit(self, node: ast.AST) -> None:
+        """Judge one node of the walk, or keep it for :meth:`finish`."""
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            # The most common nodes; only LIN102's trigger reads them.
+            if not self._saw_hmac:
+                self._saw_hmac = _is_hmac_name(node)
+        elif isinstance(node, ast.Call):
+            if self.in_resilience:
+                self._clock_calls.append(node)
+            self._lint_unguarded_parse(node)
+            self._lint_torn_write(node)
+        elif isinstance(node, ast.Compare):
+            self._lint_compare(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            self._lint_import(node)
+        elif isinstance(node, ast.Raise):
+            self._raises.append(node)
+        elif isinstance(node, ast.Try):
+            self._tries.append(node)
+        elif isinstance(node, ast.ClassDef):
+            self._classes.append(node)
+        elif isinstance(node, ast.FunctionDef):
+            self._functions.append(node)
+            if not self._saw_hmac:
+                self._saw_hmac = _is_hmac_name(node)
+
+    def finish(self, imports: dict) -> list:
+        """Run the rules that need the whole module; return every LIN
+        finding.  *imports* is the module's import table (local name ->
+        dotted target), which LIN104 resolves call heads through."""
+        for node in self._clock_calls:
+            self._lint_wall_clock(node, imports)
         # LIN101 applies to modules that define the revision protocol
         # (the tree model and anything shaped like it).
-        self.defines_mark_mutated = any(
-            isinstance(n, ast.FunctionDef) and n.name == "mark_mutated"
-            for n in ast.walk(tree)
-        )
-
-    def run(self) -> list:
-        self._lint_imports()
-        self._lint_typed_raises()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
+        if any(func.name == "mark_mutated" for func in self._functions):
+            for cls in self._classes:
+                for item in cls.body:
                     if isinstance(item, ast.FunctionDef):
-                        self._lint_mutator(node, item)
-            if isinstance(node, ast.FunctionDef):
-                self._lint_hmac_memo(node)
-            if isinstance(node, ast.Compare):
-                self._lint_compare(node)
-            if isinstance(node, ast.Call):
-                self._lint_wall_clock(node)
-                self._lint_unguarded_parse(node)
-                self._lint_torn_write(node)
+                        self._lint_mutator(cls, item)
+        if self._saw_hmac:
+            for func in self._functions:
+                self._lint_hmac_memo(func)
+        self._lint_typed_raises()
         return self.findings
 
     # -- LIN101 ----------------------------------------------------------------
 
     def _lint_mutator(self, cls: ast.ClassDef,
                       func: ast.FunctionDef) -> None:
-        if not self.defines_mark_mutated:
-            return
         if func.name in ("__init__", "mark_mutated"):
             return
         mutations = []
@@ -300,7 +336,7 @@ class _FileLint:
     # -- LIN102 ----------------------------------------------------------------
 
     def _lint_hmac_memo(self, func: ast.FunctionDef) -> None:
-        if not _mentions_hmac(func):
+        if not any(_is_hmac_name(node) for node in ast.walk(func)):
             return
         for decorator in func.decorator_list:
             name = _dotted(decorator.func
@@ -351,13 +387,13 @@ class _FileLint:
 
     # -- LIN104 ----------------------------------------------------------------
 
-    def _lint_wall_clock(self, node: ast.Call) -> None:
-        if not self.in_resilience:
-            return
+    def _lint_wall_clock(self, node: ast.Call, imports: dict) -> None:
         dotted = _dotted(node.func)
-        if "." not in dotted:
-            return
-        base, _, attr = dotted.rpartition(".")
+        # Resolve the head through the import table, so that
+        # ``from time import sleep`` and ``import time as t`` match too.
+        head, dot, rest = dotted.partition(".")
+        resolved = imports.get(head, head) + dot + rest
+        base, _, attr = resolved.rpartition(".")
         if (base.rsplit(".", 1)[-1], attr) in _WALL_CLOCK:
             self.findings.append(LIN104.finding(
                 self.path,
@@ -411,20 +447,19 @@ class _FileLint:
     # -- LIN107 ----------------------------------------------------------------
 
     def _lint_typed_raises(self) -> None:
-        if not self.in_typed_raise_scope:
+        if not self.in_typed_raise_scope or not self._raises:
             return
         # Raises lexically inside a try that has except handlers are
         # treated as converted-on-the-spot (the timing-parser idiom:
         # raise ValueError in a helper, catch and re-raise typed).
-        handled: set[int] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Try) and node.handlers:
-                for stmt in node.body + node.orelse:
-                    for sub in ast.walk(stmt):
-                        if isinstance(sub, ast.Raise):
-                            handled.add(id(sub))
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Raise) or id(node) in handled:
+        handled = {
+            id(sub)
+            for node in self._tries if node.handlers
+            for stmt in node.body + node.orelse
+            for sub in ast.walk(stmt) if isinstance(sub, ast.Raise)
+        }
+        for node in self._raises:
+            if id(node) in handled:
                 continue
             exc = node.exc
             if exc is None:
@@ -442,29 +477,28 @@ class _FileLint:
 
     # -- LIN105 ----------------------------------------------------------------
 
-    def _lint_imports(self) -> None:
+    def _lint_import(self, node: ast.Import | ast.ImportFrom) -> None:
         if self.in_primitives:
             return
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                parts = node.module.split(".")
-                if parts[:2] == ["repro", "primitives"]:
-                    if len(parts) > 2 and parts[2] in _RAW_PRIMITIVES:
-                        self._raw_import(node, node.module)
-                    elif len(parts) == 2:
-                        for alias in node.names:
-                            if alias.name in _RAW_PRIMITIVES:
-                                self._raw_import(
-                                    node,
-                                    f"repro.primitives.{alias.name}",
-                                )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = alias.name.split(".")
-                    if parts[:2] == ["repro", "primitives"] and \
-                            len(parts) > 2 and \
-                            parts[2] in _RAW_PRIMITIVES:
-                        self._raw_import(node, alias.name)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[:2] == ["repro", "primitives"]:
+                if len(parts) > 2 and parts[2] in _RAW_PRIMITIVES:
+                    self._raw_import(node, node.module)
+                elif len(parts) == 2:
+                    for alias in node.names:
+                        if alias.name in _RAW_PRIMITIVES:
+                            self._raw_import(
+                                node,
+                                f"repro.primitives.{alias.name}",
+                            )
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[:2] == ["repro", "primitives"] and \
+                        len(parts) > 2 and \
+                        parts[2] in _RAW_PRIMITIVES:
+                    self._raw_import(node, alias.name)
 
     def _raw_import(self, node: ast.AST, module: str) -> None:
         self.findings.append(LIN105.finding(
@@ -473,39 +507,3 @@ class _FileLint:
             "primitives.provider",
             line=node.lineno,
         ))
-
-
-def lint_source(source: str, path: str = "<string>") -> list:
-    """Lint one source string; returns findings (for tests/snippets)."""
-    tree = ast.parse(source, filename=path)
-    return _FileLint(path, tree).run()
-
-
-def lint_paths(paths) -> AnalysisResult:
-    """Lint files and directory trees of ``.py`` files."""
-    result = AnalysisResult()
-    for target in _iter_py_files(paths):
-        target = display_path(target)
-        with open(target, "rb") as handle:
-            source = handle.read().decode("utf-8")
-        try:
-            findings = lint_source(source, target)
-        except SyntaxError as exc:
-            findings = [LIN101.finding(
-                target, f"file does not parse: {exc}", line=exc.lineno or 0,
-            )]
-        result.findings.extend(findings)
-        result.scanned += 1
-    return result
-
-
-def _iter_py_files(paths):
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames.sort()
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        yield os.path.join(dirpath, filename)
-        else:
-            yield path

@@ -1,6 +1,6 @@
 """Program model for whole-repo dataflow: modules, functions, calls.
 
-The taint engine needs three things the per-file AST linter never did:
+The taint engine needs three things the per-module LIN rules never did:
 
 * a **module graph** — which file is which dotted module, and what each
   module's imports resolve to (chasing package ``__init__`` re-exports);
@@ -558,8 +558,13 @@ def _field_types(node: ast.ClassDef) -> list:
     return out
 
 
-def extract_module(source: str, path: str) -> dict:
-    """Parse one module into its cacheable program-model entry."""
+def extract_module(source: str, path: str, visit=None) -> dict:
+    """Parse one module into its cacheable program-model entry.
+
+    The import table comes from one walk over every node of the tree;
+    *visit*, when given, is called with each node of that walk, so a
+    per-module rule pack can share it instead of walking again.
+    """
     tree = ast.parse(source, filename=path)
     module = module_name_for_path(path)
     imports: dict[str, str] = {}
@@ -569,6 +574,8 @@ def extract_module(source: str, path: str) -> dict:
     # Imports anywhere in the file (function-local ones included —
     # scoping is flattened, which only ever *adds* resolvable names).
     for node in ast.walk(tree):
+        if visit is not None:
+            visit(node)
         if isinstance(node, ast.ImportFrom) and node.module and \
                 node.level == 0:
             for alias in node.names:

@@ -1,9 +1,9 @@
 """The shared rule engine: registry, stable IDs, severities.
 
-Both frontends — the artifact auditor and the codebase linter —
-declare their rules here.  A rule is metadata plus an ID; the check
-logic lives with the frontend, which asks its :class:`Rule` to mint
-findings so ID/severity can never drift from the catalog.
+Both frontends — the artifact auditor and the code analyzer's rule
+packs — declare their rules here.  A rule is metadata plus an ID; the
+check logic lives with the frontend, which asks its :class:`Rule` to
+mint findings so ID/severity can never drift from the catalog.
 
 Rule ID conventions::
 
@@ -12,7 +12,10 @@ Rule ID conventions::
     SEC02x   artifact signature coverage / ordering
     SEC03x   artifact permission / policy consistency
     SEC04x   disc-image level checks
-    LIN1xx   codebase invariants (AST linter)
+    LIN1xx   codebase invariants (per-module AST pack)
+    TNT2xx   taint flow          (whole-program packs)
+    CON3xx   concurrency safety
+    LIF4xx   async lifecycle
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
-"""One driver for the interprocedural analyzers (DESIGN.md §8).
+"""One entry point for the code analyzers (DESIGN.md §8).
 
+Four rule packs share one parse of every module.  The invariant rules
+(LIN1xx, :mod:`~repro.analysis.astlint`) judge each module on its own,
+so they ride on the walk that lowers the module to the callgraph IR.
 Taint flow (TNT2xx, §10), concurrency safety (CON3xx, §13) and async
-lifecycle (LIF4xx, §15) are rule packs over one whole-program model.
-The driver reads the targets, lowers each module to the callgraph IR
-once, builds one :class:`~repro.analysis.callgraph.Program` and runs
-the three engines over it in a fixed order (:data:`ENGINES`).  The
-merged findings come back sorted by location, line and rule.
+lifecycle (LIF4xx, §15) need the whole program: the lowered modules
+become one :class:`~repro.analysis.callgraph.Program`, and the three
+engines run over it in a fixed order (:data:`ENGINES`).  The merged
+findings come back sorted by location, line and rule.
 
 Persistence is one content-hash-keyed JSON file with two levels:
 
-* **module level** — the extracted IR of every module, keyed by the
-  SHA-256 of its source bytes.  An edited file misses; everything else
-  skips ``ast`` parsing and IR lowering on the next run.
+* **module level** — the extracted IR and the LIN findings of every
+  module, keyed by the SHA-256 of its source bytes.  An edited file
+  misses; everything else skips ``ast`` parsing, IR lowering and the
+  LIN rules on the next run.
 * **run level** — the merged findings, keyed by a digest over the
   sorted ``(path, hash)`` set plus the format versions.  A completely
   unchanged tree returns memoized findings without running any engine.
@@ -29,8 +32,7 @@ import json
 import os
 import time
 
-from repro.analysis import concspec, lifespec, taintspec
-from repro.analysis.astlint import _iter_py_files
+from repro.analysis import astlint, concspec, lifespec, taintspec
 from repro.analysis.callgraph import IR_VERSION, Program, extract_module
 from repro.analysis.concurrency import ConcurrencyEngine
 from repro.analysis.findings import (
@@ -50,13 +52,21 @@ ENGINES = (
     ("LIF", LifecycleEngine),
 )
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 DEFAULT_CACHE_PATH = ".interproc-cache.json"
 _MAX_RUNS = 8  # keep the file bounded across branch switches
 
 
 def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _record(finding: Finding) -> dict:
+    return dict(vars(finding), severity=finding.severity.name)
+
+
+def _finding(record: dict) -> Finding:
+    return Finding(**dict(record, severity=Severity[record["severity"]]))
 
 
 class AnalysisCache:
@@ -70,6 +80,7 @@ class AnalysisCache:
             # A list, not a tuple: the header is compared with what
             # json.load returns, and a tuple never equals a list.
             "spec_version": [
+                astlint.SPEC_VERSION,
                 taintspec.SPEC_VERSION,
                 concspec.SPEC_VERSION,
                 lifespec.SPEC_VERSION,
@@ -107,16 +118,23 @@ class AnalysisCache:
 
     # -- module level ---------------------------------------------------------
 
-    def module_info(self, path: str, digest: str) -> dict | None:
+    def module_entry(self, path: str, digest: str) -> tuple | None:
+        """``(IR, LIN findings)`` of a module, if its hash matches."""
         entry = self._modules.get(path)
         if entry is not None and entry.get("hash") == digest:
             self.hits += 1
-            return entry["info"]
+            return entry["info"], [_finding(r) for r in entry["lin"]]
         self.misses += 1
         return None
 
-    def store_module(self, path: str, digest: str, info: dict) -> None:
-        self._modules[path] = {"hash": digest, "info": info}
+    def store_module(
+        self, path: str, digest: str, info: dict, lin: list
+    ) -> None:
+        self._modules[path] = {
+            "hash": digest,
+            "info": info,
+            "lin": [_record(f) for f in lin],
+        }
 
     # -- run level ------------------------------------------------------------
 
@@ -130,31 +148,49 @@ class AnalysisCache:
             return None
         self.run_hit = True
         self.hits += len(entries)
-        result = AnalysisResult(scanned=entry["scanned"])
-        for item in entry["findings"]:
-            severity = Severity[item["severity"]]
-            result.findings.append(Finding(**dict(item, severity=severity)))
-        return result
+        return AnalysisResult(
+            findings=[_finding(r) for r in entry["findings"]],
+            scanned=entry["scanned"],
+        )
 
     def store_run(self, entries, result: AnalysisResult) -> None:
         stamps = [run["stamp"] for run in self._runs.values()]
         self._runs[self._run_key(entries)] = {
             "scanned": result.scanned,
             "stamp": max(stamps, default=0) + 1,
-            "findings": [
-                dict(vars(f), severity=f.severity.name)
-                for f in result.findings
-            ],
+            "findings": [_record(f) for f in result.findings],
         }
 
 
 # -- entry points -------------------------------------------------------------
 
 
-def _run_packs(infos: list, timings: dict | None) -> AnalysisResult:
+def _iter_py_files(paths):
+    for path in paths:
+        if os.path.isdir(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames.sort()
+                for filename in sorted(filenames):
+                    if filename.endswith(".py"):
+                        yield os.path.join(dirpath, filename)
+        else:
+            yield path
+
+
+def _lower(source: str, path: str) -> tuple[dict, list]:
+    """The module's IR and its LIN findings, from one parse and one
+    walk.  A module that does not parse raises ``SyntaxError``."""
+    lint = astlint.ModuleLint(path)
+    info = extract_module(source, path, visit=lint.visit)
+    return info, lint.finish(info["imports"])
+
+
+def _run_packs(lowered: list, timings: dict | None) -> AnalysisResult:
+    """Merge the modules' LIN findings with the whole-program packs'."""
+    infos = [info for info, _ in lowered]
     program = Program(infos)
     paths = {info["module"]: info["path"] for info in infos}
-    findings = []
+    findings = [finding for _, lin in lowered for finding in lin]
     for prefix, engine in ENGINES:
         start = time.perf_counter()
         findings.extend(engine(program, paths).run())
@@ -166,12 +202,12 @@ def _run_packs(infos: list, timings: dict | None) -> AnalysisResult:
 
 def analyze_modules(sources: dict) -> AnalysisResult:
     """Analyze in-memory ``{path: source}`` modules (tests, fixtures)."""
-    infos = [extract_module(sources[path], path) for path in sorted(sources)]
-    return _run_packs(infos, None)
+    lowered = [_lower(sources[path], path) for path in sorted(sources)]
+    return _run_packs(lowered, None)
 
 
 def analyze_source(source: str, path: str = "src/repro/example.py") -> list:
-    """Single-module convenience mirroring :func:`lint_source`."""
+    """Analyze one in-memory module; returns its findings."""
     return analyze_modules({path: source}).findings
 
 
@@ -180,12 +216,13 @@ def analyze_paths(
 ) -> AnalysisResult:
     """Analyze files/directories of ``.py`` files, optionally cached.
 
-    With a *cache*, unchanged modules skip AST extraction and a fully
-    unchanged target set returns the memoized findings without running
-    any engine.  A module that does not parse raises its
-    :class:`SyntaxError` (``filename`` and ``lineno`` set).  *timings*,
-    when given, receives the seconds a run that was not memoized spent
-    lowering (``lower``) and in each engine (``TNT``, ``CON``, ``LIF``).
+    With a *cache*, unchanged modules skip parsing, lowering and the
+    LIN rules, and a fully unchanged target set returns the memoized
+    findings without running any engine.  A module that does not parse
+    raises its :class:`SyntaxError` (``filename`` and ``lineno`` set).
+    *timings*, when given, receives the seconds a run that was not
+    memoized spent parsing, lowering and running the LIN rules
+    (``lower``) and in each engine (``TNT``, ``CON``, ``LIF``).
     """
     entries = []  # (display path, content hash, source)
     for target in _iter_py_files(paths):
@@ -200,18 +237,18 @@ def analyze_paths(
             return memoized
 
     start = time.perf_counter()
-    infos = []
+    lowered = []
     for path, digest, source in sorted(entries):
-        info = None if cache is None else cache.module_info(path, digest)
-        if info is None:
-            info = extract_module(source, path)
+        module = None if cache is None else cache.module_entry(path, digest)
+        if module is None:
+            module = _lower(source, path)
             if cache is not None:
-                cache.store_module(path, digest, info)
-        infos.append(info)
+                cache.store_module(path, digest, *module)
+        lowered.append(module)
     if timings is not None:
         timings["lower"] = time.perf_counter() - start
 
-    result = _run_packs(infos, timings)
+    result = _run_packs(lowered, timings)
     if cache is not None:
         cache.store_run(entries, result)
         cache.save()

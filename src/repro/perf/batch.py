@@ -11,11 +11,10 @@ signed sub-markups (the ABL-GRAN sweep).  The batch engine instead:
    the same canonicalization parameters and digest algorithm, and
    pre-computes each unique digest exactly once into the shared
    :class:`~repro.perf.cache.C14NDigestCache`;
-3. verifies the signatures across a ``concurrent.futures`` worker
-   pool (thread-backed by default, process-backed on request,
-   auto-sized to the machine) and fans the per-reference verdicts back
-   into ordinary :class:`~repro.dsig.verifier.VerificationReport`
-   objects.
+3. verifies the signatures across a ``concurrent.futures`` thread
+   pool (auto-sized to the machine) that shares the live tree and the
+   cache, and fans the per-reference verdicts back into ordinary
+   :class:`~repro.dsig.verifier.VerificationReport` objects.
 
 Results are byte-for-byte the same verdicts the sequential path
 produces — the cache's revision-stamp invariant guarantees a digest is
@@ -25,10 +24,10 @@ never reused across a mutation.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError, SignatureError
+from repro.errors import SignatureError
 from repro.perf import metrics
 from repro.xmlcore import DSIG_NS
 from repro.xmlcore.tree import Element
@@ -60,14 +59,12 @@ class BatchOutcome:
         deduplicated: references whose digest was shared with an
             earlier identical reference instead of recomputed.
         workers: pool size used.
-        mode: ``"thread"``, ``"process"`` or ``"sequential"``.
     """
 
     reports: dict[str, VerificationReport] = field(default_factory=dict)
     total_references: int = 0
     deduplicated: int = 0
     workers: int = 1
-    mode: str = "thread"
 
     @property
     def all_valid(self) -> bool:
@@ -83,21 +80,12 @@ class BatchVerifier:
         verifier: the configured :class:`Verifier` whose policy (trust
             store, key handling, cache) every worker applies.
         max_workers: pool size; ``None`` auto-sizes to the machine.
-        mode: ``"thread"`` (default; shares the live tree and cache),
-            ``"process"`` (isolates workers in subprocesses — the tree
-            is re-serialized to each worker, so the cache does not
-            carry over, but CPU-bound verification escapes the GIL) or
-            ``"sequential"`` (no pool; dedup and cache still apply).
     """
 
     def __init__(self, verifier: Verifier, *,
-                 max_workers: int | None = None,
-                 mode: str = "thread"):
-        if mode not in ("thread", "process", "sequential"):
-            raise ReproError(f"unknown batch mode {mode!r}")
+                 max_workers: int | None = None):
         self.verifier = verifier
         self.max_workers = max_workers
-        self.mode = mode
 
     # -- public API -------------------------------------------------------------
 
@@ -115,7 +103,7 @@ class BatchVerifier:
             child for child in root.child_elements()
             if child.local == "Signature" and child.ns_uri == DSIG_NS
         ]
-        outcome = BatchOutcome(mode=self.mode)
+        outcome = BatchOutcome()
         if not signatures:
             return outcome
 
@@ -128,25 +116,19 @@ class BatchVerifier:
             outcome.deduplicated
         )
 
-        if self.mode == "process":
-            reports = self._run_process(root, signatures)
-        elif self.mode == "thread" and len(signatures) > 1:
+        if len(signatures) > 1:
             reports = self._run_threads(root, signatures, decryptor,
                                         namespaces)
+            outcome.workers = auto_worker_count(len(signatures)) \
+                if self.max_workers is None else self.max_workers
         else:
-            reports = [
-                self.verifier.verify(signature, document_root=root,
-                                     decryptor=decryptor,
-                                     namespaces=namespaces)
-                for signature in signatures
-            ]
-            outcome.workers = 1
+            reports = [self.verifier.verify(
+                signatures[0], document_root=root, decryptor=decryptor,
+                namespaces=namespaces,
+            )]
 
         for signature, report in zip(signatures, reports):
             outcome.reports[_first_reference_uri(signature)] = report
-        if self.mode != "sequential" and len(signatures) > 1:
-            outcome.workers = auto_worker_count(len(signatures)) \
-                if self.max_workers is None else self.max_workers
         return outcome
 
     # -- dedup pre-pass ----------------------------------------------------------
@@ -195,7 +177,7 @@ class BatchVerifier:
                 pass  # the owning signature's verify reports it
 
         jobs = list(unique.values())
-        if self.mode == "thread" and len(jobs) > 1:
+        if len(jobs) > 1:
             workers = self.max_workers or auto_worker_count(len(jobs))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(warm, jobs))
@@ -218,58 +200,9 @@ class BatchVerifier:
             ]
             return [future.result() for future in futures]
 
-    def _run_process(self, root, signatures) -> list[VerificationReport]:
-        """Subprocess-backed verification.
-
-        The tree is serialized once and re-parsed per worker, so this
-        only pays off for CPU-heavy verification of large clusters.
-        Resolver/decryptor/key-locator hooks are process-local and
-        unsupported here.
-        """
-        from repro.xmlcore import serialize_bytes
-        if self.verifier.resolver is not None \
-                or self.verifier.key_locator is not None:
-            raise SignatureError(
-                "process-backed batch verification does not support "
-                "resolver or key-locator hooks; use mode='thread'"
-            )
-        payload = serialize_bytes(root)
-        spec = {
-            "trust_store": self.verifier.trust_store,
-            "require_trusted_key": self.verifier.require_trusted_key,
-            "max_references": self.verifier.max_references,
-            "now": self.verifier.now,
-        }
-        workers = self.max_workers or auto_worker_count(len(signatures))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_process_verify_one, payload, index, spec)
-                for index in range(len(signatures))
-            ]
-            return [future.result() for future in futures]
-
 
 def _first_reference_uri(signature: Element) -> str:
     reference = signature.find("Reference", DSIG_NS)
     if reference is None:
         return ""
     return reference.get("URI") or ""
-
-
-def _process_verify_one(payload: bytes, index: int,
-                        spec: dict) -> VerificationReport:
-    """Worker entry point for process-backed batch verification."""
-    from repro.resilience.limits import ResourceGuard
-    from repro.xmlcore import parse_element
-    root = parse_element(payload, guard=ResourceGuard.default())
-    signatures = [
-        child for child in root.child_elements()
-        if child.local == "Signature" and child.ns_uri == DSIG_NS
-    ]
-    verifier = Verifier(
-        trust_store=spec["trust_store"],
-        require_trusted_key=spec["require_trusted_key"],
-        max_references=spec["max_references"],
-        now=spec["now"],
-    )
-    return verifier.verify(signatures[index], document_root=root)

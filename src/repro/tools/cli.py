@@ -17,10 +17,10 @@ Commands:
   and dump the perf counters, timers and cache hit ratios.
 * ``audit``     — static security audit of signed/encrypted artifacts
   (documents, disc images, directories) without key material.
-* ``lint``      — AST-based invariant linter over the repo's own code.
-* ``analyze``   — interprocedural analysis over one call graph: taint
-  flow (TNT2xx), concurrency safety (CON3xx) and async lifecycle
-  (LIF4xx) rule packs.
+* ``analyze``   — code analysis over one parse of the repo's own
+  source: invariant rules (LIN1xx) per module, then taint flow
+  (TNT2xx), concurrency safety (CON3xx) and async lifecycle (LIF4xx)
+  over one call graph.
 * ``chaos``     — seeded adversarial chaos harness: drive resource
   attacks (nesting/attribute/text/node floods, reference and decrypt
   bombs, hostile frames) through the real entry points and fail on
@@ -371,8 +371,6 @@ def _perf_cluster_xml(submarkups: int) -> bytes:
 
 def _finish_analysis(result, args) -> int:
     """Shared baseline/report/exit-code handling for the analyzers."""
-    import os
-
     from repro.analysis import (
         Baseline, Severity, render_json, render_text,
     )
@@ -383,8 +381,13 @@ def _finish_analysis(result, args) -> int:
         print(f"baseline ({len(raw_findings)} finding(s)) -> "
               f"{args.update_baseline}")
         return 0
-    if args.baseline and os.path.exists(args.baseline):
-        Baseline.load(args.baseline).apply(result)
+    if args.baseline:
+        try:
+            Baseline.load(args.baseline).apply(result)
+        except OSError as exc:
+            print(f"error: baseline {args.baseline}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     if args.json:
         _write(args.json, render_json(result))
     print(render_text(result, verbose=args.verbose))
@@ -409,20 +412,8 @@ def cmd_audit(args) -> int:
     return _finish_analysis(result, args)
 
 
-def cmd_lint(args) -> int:
-    """Lint the codebase for invariant violations."""
-    from repro.analysis import catalog_lines, lint_paths
-
-    if args.rules:
-        for line in catalog_lines("code"):
-            print(line)
-        return 0
-    result = lint_paths(args.paths or ["src"])
-    return _finish_analysis(result, args)
-
-
 def cmd_analyze(args) -> int:
-    """Interprocedural TNT/CON/LIF analysis over the codebase."""
+    """LIN/TNT/CON/LIF analysis over the codebase."""
     from repro.analysis import analyze_paths, catalog_lines
     from repro.analysis.interproc import AnalysisCache
 
@@ -698,18 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
-        "lint",
-        help="AST-based invariant linter over the codebase",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: src)")
-    add_analysis_options(p)
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
         "analyze",
-        help="interprocedural taint, concurrency and lifecycle analysis "
-             "(TNT2xx/CON3xx/LIF4xx rules)",
+        help="invariant, taint, concurrency and lifecycle analysis "
+             "(LIN1xx/TNT2xx/CON3xx/LIF4xx rules)",
     )
     p.add_argument("paths", nargs="*",
                    help="files or directories (default: src)")

@@ -1,4 +1,6 @@
-"""One minimal violating snippet per AST rule, plus the clean-repo run."""
+"""One minimal violating snippet per LIN rule, plus the clean-repo run.
+Every case runs through ``analyze_modules`` and keeps only LIN
+findings."""
 
 import json
 import os
@@ -6,14 +8,27 @@ import textwrap
 
 import pytest
 
-from repro.analysis import Baseline, lint_paths, lint_source
+from repro.analysis import interproc
+from repro.tools.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
+def analyze_modules(sources: dict):
+    """``analyze_modules`` over *sources*, LIN findings only."""
+    result = interproc.analyze_modules(sources)
+    result.findings = [f for f in result.findings
+                       if f.rule_id.startswith("LIN")]
+    return result
+
+
+def analyze_source(source: str, path: str) -> list:
+    return analyze_modules({path: source}).findings
+
+
 def lint(snippet: str, path: str = "src/repro/dsig/example.py"):
-    return lint_source(textwrap.dedent(snippet), path)
+    return analyze_source(textwrap.dedent(snippet), path)
 
 
 def rule_ids(findings) -> set:
@@ -70,7 +85,7 @@ def test_lin101_ignores_modules_without_revision_protocol():
 def test_real_tree_module_passes_lin101():
     tree = os.path.join(REPO_ROOT, "src", "repro", "xmlcore", "tree.py")
     with open(tree, encoding="utf-8") as handle:
-        findings = lint_source(handle.read(), tree)
+        findings = analyze_source(handle.read(), tree)
     assert [f for f in findings if f.rule_id == "LIN101"] == []
 
 
@@ -154,6 +169,16 @@ def test_lin104_catches_wall_clock():
     """
     findings = lint(snippet, "src/repro/resilience/retry_example.py")
     assert "LIN104" in rule_ids(findings)
+
+
+@pytest.mark.parametrize("snippet", [
+    "from time import sleep\nsleep(1)\n",
+    "import time as t\nt.monotonic()\n",
+    "from time import monotonic as now\nnow()\n",
+], ids=["from-import", "module-alias", "name-alias"])
+def test_lin104_resolves_imported_clock_names(snippet):
+    findings = lint(snippet, "src/repro/resilience/retry_example.py")
+    assert rule_ids(findings) == {"LIN104"}
 
 
 def test_lin104_allows_injected_clock():
@@ -416,34 +441,40 @@ def test_real_persistence_modules_pass_lin108():
                  "xkms/server.py"):
         module = os.path.join(REPO_ROOT, "src", "repro", *name.split("/"))
         with open(module, encoding="utf-8") as handle:
-            findings = lint_source(handle.read(), module)
+            findings = analyze_source(handle.read(), module)
         assert [f for f in findings if f.rule_id == "LIN108"] == [], name
 
 
 # -- clean-repo run ----------------------------------------------------------
 
 
-def test_repo_lints_clean_modulo_baseline():
-    """`repro lint src` on this repo: zero findings after the baseline."""
-    src = os.path.join(REPO_ROOT, "src")
-    baseline_path = os.path.join(REPO_ROOT, "analysis-baseline.json")
-    result = lint_paths([src])
-    kept = Baseline.load(baseline_path).apply(result)
+def test_repo_lints_clean_modulo_baseline(repo_above_baseline):
+    """`repro.tools analyze src`: no LIN finding above the committed
+    baseline."""
+    kept = repo_above_baseline("LIN")
     assert kept.findings == [], [f.render() for f in kept.findings]
     assert kept.scanned > 100
 
 
 def test_baseline_file_is_wellformed():
-    with open(os.path.join(REPO_ROOT, "analysis-baseline.json"),
+    """Every LIN entry in the one analysis baseline is justified."""
+    with open(os.path.join(REPO_ROOT, "interproc-baseline.json"),
               encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["version"] == 1
-    assert all("fingerprint" in entry for entry in payload["findings"])
+    lin = [entry for entry in payload["findings"]
+           if entry["rule_id"].startswith("LIN")]
+    assert lin
+    for entry in lin:
+        assert entry["fingerprint"]
+        assert entry["justification"]
 
 
-def test_syntax_error_is_reported_not_raised(tmp_path):
+def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n")
-    result = lint_paths([str(bad)])
-    assert len(result.findings) == 1
-    assert "does not parse" in result.findings[0].message
+    assert main(["analyze", str(bad), "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -1,4 +1,4 @@
-"""The ``repro audit`` / ``lint`` / ``analyze`` command-line surface."""
+"""The ``repro audit`` / ``analyze`` command-line surface."""
 
 import json
 import os
@@ -77,37 +77,32 @@ def test_audit_baseline_workflow(tmp_path, capsys):
                  fixture("dangling_reference.xml")]) == 1
 
 
-# -- lint --------------------------------------------------------------------
-
-
-def test_lint_repo_passes_with_committed_baseline(capsys):
-    src = os.path.join(REPO_ROOT, "src")
-    baseline = os.path.join(REPO_ROOT, "analysis-baseline.json")
-    assert main(["lint", src, "--baseline", baseline]) == 0
-    assert "no findings" in capsys.readouterr().out
-
-
-def test_lint_flags_seeded_violation(tmp_path, capsys):
-    bad = tmp_path / "badtree.py"
-    bad.write_text(
-        "class Node:\n"
-        "    def mark_mutated(self):\n"
-        "        pass\n"
-        "    def drop(self, child):\n"
-        "        self.children.remove(child)\n"
-    )
-    assert main(["lint", str(bad)]) == 1
-    assert "LIN101" in capsys.readouterr().out
-
-
-def test_lint_rules_catalog(capsys):
-    assert main(["lint", "--rules"]) == 0
-    out = capsys.readouterr().out
-    assert "LIN101" in out and "LIN105" in out
-    assert "SEC001" not in out
+def test_audit_missing_baseline_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no-such.json")
+    assert main(["audit", "--fail-on", "info", "--baseline", missing,
+                 fixture("clean.xml")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and missing in line
+    assert not os.path.exists(missing)
 
 
 # -- analyze -----------------------------------------------------------------
+
+
+def test_analyze_missing_baseline_is_usage_error(tmp_path, capsys):
+    module = tmp_path / "fine.py"
+    module.write_text("def ok():\n    return 1\n")
+    missing = str(tmp_path / "no-such.json")
+    assert main(["analyze", str(module), "--no-cache",
+                 "--baseline", missing]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and missing in line
+    # --update-baseline still creates its file.
+    assert main(["analyze", str(module), "--no-cache",
+                 "--update-baseline", missing]) == 0
+    assert os.path.exists(missing)
 
 
 def test_analyze_repo_passes_with_committed_baseline(tmp_path, capsys):
@@ -157,6 +152,36 @@ def pack_baseline_split(cache, tmp_path, capsys, prefix):
         accepted = {e["fingerprint"] for e in json.load(handle)["findings"]
                     if e["rule_id"].startswith(prefix)}
     return suppressed, accepted
+
+
+# -- lint (the LIN pack) ----------------------------------------------------
+
+
+def test_lint_repo_passes_with_committed_baseline(repo_cache, tmp_path,
+                                                  capsys):
+    suppressed, accepted = pack_baseline_split(repo_cache, tmp_path,
+                                               capsys, "LIN")
+    assert suppressed == accepted
+
+
+def test_lint_flags_seeded_violation(tmp_path, capsys):
+    bad = tmp_path / "badtree.py"
+    bad.write_text(
+        "class Node:\n"
+        "    def mark_mutated(self):\n"
+        "        pass\n"
+        "    def drop(self, child):\n"
+        "        self.children.remove(child)\n"
+    )
+    assert main(["analyze", str(bad), "--no-cache"]) == 1
+    assert "LIN101" in capsys.readouterr().out
+
+
+def test_lint_rules_catalog(capsys):
+    assert main(["analyze", "--rules"]) == 0
+    out = capsys.readouterr().out
+    assert "LIN101" in out and "LIN105" in out
+    assert "SEC001" not in out
 
 
 # -- taint -------------------------------------------------------------------

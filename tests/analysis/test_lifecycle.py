@@ -488,10 +488,10 @@ def test_cache_invalidates_only_the_changed_module(tree, tmp_path):
 def test_ir_version_bump_cold_starts_every_analyzer_cache_once(
         tree, tmp_path, monkeypatch):
     """A callgraph IR bump (e.g. v3 -> v4), or a spec bump of any one
-    pack, must cold-start the one interprocedural cache exactly once:
-    the stale file is discarded at load, and the very next run is warm
-    again."""
-    from repro.analysis import concspec, lifespec, taintspec
+    pack (LIN included), must cold-start the one analysis cache exactly
+    once: the stale file is discarded at load, and the very next run is
+    warm again."""
+    from repro.analysis import astlint, concspec, lifespec, taintspec
 
     cache_path = str(tmp_path / "cache.json")
     analyze_paths([str(tree)], cache=AnalysisCache(cache_path))
@@ -513,7 +513,7 @@ def test_ir_version_bump_cold_starts_every_analyzer_cache_once(
         json.dump(payload, handle)
     assert_cold_exactly_once("IR_VERSION")
 
-    for spec in (taintspec, concspec, lifespec):
+    for spec in (astlint, taintspec, concspec, lifespec):
         monkeypatch.setattr(spec, "SPEC_VERSION", spec.SPEC_VERSION + 1)
         assert_cold_exactly_once(f"{spec.__name__}.SPEC_VERSION")
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import verify_signatures
 from repro.dsig import Verifier
-from repro.errors import ReproError, SignatureError
 from repro.perf import metrics
 from repro.perf.batch import (
     BatchVerifier, auto_worker_count,
@@ -42,17 +41,13 @@ def test_auto_worker_count_bounds():
     assert auto_worker_count(0) == 1
 
 
-def test_unknown_mode_rejected(verifier):
-    with pytest.raises(ReproError):
-        BatchVerifier(verifier, mode="fibers")
-
-
-@pytest.mark.parametrize("mode", ["thread", "sequential"])
+# The id names the pool the batch engine fans out on.
+@pytest.mark.parametrize("pool", ["thread"])
 def test_batch_matches_sequential_verdicts(signer, verifier, cluster,
-                                           mode):
+                                           pool):
     signed_cluster(signer, cluster)
     sequential = verify_signatures(cluster, verifier)
-    outcome = BatchVerifier(verifier, mode=mode).verify_all(cluster)
+    outcome = BatchVerifier(verifier).verify_all(cluster)
     assert outcome.all_valid
     assert set(outcome.reports) == set(sequential)
     for uri, report in outcome.reports.items():
@@ -122,16 +117,6 @@ def test_batch_warm_cache_rejects_after_tamper(signer, trust_store,
     outcome = engine.verify_all(cluster)
     assert not outcome.reports["#track-1"].valid
     assert outcome.reports["#track-2"].valid
-
-
-def test_process_mode_rejects_local_hooks(signer, trust_store, cluster):
-    verifier = Verifier(trust_store=trust_store,
-                        resolver=lambda uri: b"",
-                        require_trusted_key=True)
-    signed_cluster(signer, cluster)
-    engine = BatchVerifier(verifier, mode="process")
-    with pytest.raises(SignatureError, match="process-backed"):
-        engine.verify_all(cluster)
 
 
 def test_explicit_worker_count_respected(signer, verifier, cluster):
