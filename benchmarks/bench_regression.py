@@ -8,10 +8,13 @@ threshold (20% by default) against the committed
 
 Robustness against machine-speed differences between the committing
 machine and the CI runner: every absolute timing is divided by a
-*calibration* measurement (pure-Python SHA-256 over a fixed payload on
-the same interpreter), so tracked values are dimensionless multiples
-of the machine's own crypto throughput.  Ratio metrics (speedups, hit
-ratios) need no normalization at all.
+*calibration* kernel (pure-Python SHA-256 over a fixed payload on the
+same interpreter), so tracked values are dimensionless multiples of the
+machine's own crypto throughput.  The kernel is sampled in alternation
+with the workload it normalizes (:func:`normalized`), and every ratio
+between two workloads alternates the pair the same way, so a slow spell
+on a shared machine hits both sides of each ratio.  Hit ratios need no
+normalization at all.
 
 Usage::
 
@@ -33,7 +36,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _workloads import (  # noqa: E402
     build_manifest,
     build_world,
-    measure,
     measure_pair,
     pinned_script,
     run_pinned_script,
@@ -105,9 +107,18 @@ def calibration_kernel() -> bytes:
     return sha256(CALIBRATION_PAYLOAD)
 
 
-def calibrate() -> float:
-    """Median seconds of one :func:`calibration_kernel` call."""
-    return measure(calibration_kernel, warmup=1, repeat=5)
+def normalized(workload, *, repeat: int = 15) -> tuple[float, float]:
+    """``(workload / kernel, workload seconds)`` from interleaved medians.
+
+    Alternating the two makes a slow spell on a shared machine hit both
+    sides of the ratio.  A calibration taken once, apart from the
+    workloads, moved untouched gates by 20-40% between runs on a shared
+    2-vCPU VM.
+    """
+    kernel_time, workload_time = measure_pair(
+        calibration_kernel, workload, repeat=repeat
+    )
+    return workload_time / kernel_time, workload_time
 
 
 def run_benchmarks() -> dict:
@@ -117,7 +128,6 @@ def run_benchmarks() -> dict:
     from repro.perf.cache import NullCache
     from repro.xmlcore import canonicalize
 
-    calibration = calibrate()
     world = build_world()
     signer = Signer(world.studio.key, identity=world.studio)
 
@@ -138,11 +148,11 @@ def run_benchmarks() -> dict:
         require_trusted_key=True,
         cache=NullCache(),
     )
-    seq_time = measure(
-        lambda: verify_signatures(root, sequential),
-        warmup=1,
-        repeat=5,
-    )
+
+    def verify_sequential():
+        return verify_signatures(root, sequential)
+
+    seq_norm, seq_time = normalized(verify_sequential)
 
     engine = BatchVerifier(
         Verifier(
@@ -154,7 +164,14 @@ def run_benchmarks() -> dict:
     outcome = engine.verify_all(root)
     if not outcome.all_valid:
         raise SystemExit("bench workload failed to verify")
-    warm_time = measure(lambda: engine.verify_all(root), warmup=1, repeat=5)
+
+    def verify_warm():
+        return engine.verify_all(root)
+
+    warm_norm, warm_time = normalized(verify_warm)
+    speedup_seq_time, speedup_warm_time = measure_pair(
+        verify_sequential, verify_warm
+    )
 
     # ABL-GUARD: the same warm batch-verify workload with a per-package
     # ResourceGuard threaded through (the player's deployment shape).
@@ -177,10 +194,7 @@ def run_benchmarks() -> dict:
         guarded_engine.verifier.guard = ResourceGuard()
         return guarded_engine.verify_all(root)
 
-    plain_time, guarded_time = measure_pair(
-        lambda: engine.verify_all(root),
-        guarded_verify,
-    )
+    plain_time, guarded_time = measure_pair(verify_warm, guarded_verify)
 
     registry = metrics.push_registry()
     try:
@@ -193,7 +207,11 @@ def run_benchmarks() -> dict:
     hit_ratio = hits / total if total else 0.0
 
     plain = fat_manifest()
-    c14n_time = measure(lambda: canonicalize(plain), warmup=1, repeat=5)
+
+    def c14n_whole():
+        return canonicalize(plain)
+
+    c14n_norm, c14n_time = normalized(c14n_whole)
 
     # ABL-STREAM: chunked canonical emission vs building the whole
     # octet string; the ratio gates streaming-serializer overhead.
@@ -202,14 +220,14 @@ def run_benchmarks() -> dict:
     def c14n_stream():
         return canonicalize_into(plain, lambda chunk: None)
 
-    c14n_stream_time = measure(c14n_stream, warmup=1, repeat=5)
+    stream_whole_time, stream_time = measure_pair(c14n_whole, c14n_stream)
 
     def sign_once():
         target = build_manifest("bench-sign", submarkups=2).to_element()
         sub = next(iter(target.iter("submarkup")))
         signer.sign_detached(f"#{sub.get('Id')}", parent=target)
 
-    sign_time = measure(sign_once, warmup=1, repeat=5)
+    sign_norm, sign_time = normalized(sign_once)
 
     # Accelerated-provider legs: the same sign / sequential-verify
     # workloads with the hashlib/cryptography-backed provider selected,
@@ -234,16 +252,11 @@ def run_benchmarks() -> dict:
                 require_trusted_key=True,
                 cache=NullCache(),
             )
-            accel_seq_time = measure(
-                lambda: verify_signatures(accel_root, accel_seq),
-                warmup=1, repeat=5,
-            )
-            accel_sign_time = measure(sign_once, warmup=1, repeat=5)
             accel_metrics = {
-                "verify_sequential_8_accel_norm":
-                    accel_seq_time / calibration,
-                "sign_detached_accel_norm":
-                    accel_sign_time / calibration,
+                "verify_sequential_8_accel_norm": normalized(
+                    lambda: verify_signatures(accel_root, accel_seq),
+                )[0],
+                "sign_detached_accel_norm": normalized(sign_once)[0],
             }
         finally:
             set_default_provider(previous)
@@ -257,20 +270,15 @@ def run_benchmarks() -> dict:
 
     if len(audit_once().coverage) != 8:
         raise SystemExit("audit bench workload lost its signatures")
-    audit_time = measure(audit_once, warmup=1, repeat=5)
+    audit_norm, audit_time = normalized(audit_once)
 
-    # ABL-SCRIPT: the run alternates with the calibration kernel, so a
-    # slow spell on a shared machine hits both sides of the ratio.
-    # Timed apart from the kernel, the ratio varied about 3x between
-    # runs on a shared 2-vCPU VM; interleaved, within 15% over 11 runs.
+    # ABL-SCRIPT: lex, parse and run of the pinned menu script.
     script, expected = pinned_script(70)
     for _ in range(3):
         if run_pinned_script(script)[0] != [expected]:
             raise SystemExit("script bench workload printed the wrong value")
-    script_calibration, script_run_time = measure_pair(
-        calibration_kernel,
+    script_norm, script_run_time = normalized(
         lambda: run_pinned_script(script),
-        repeat=15,
     )
 
     # ABL-ANALYZE: the one analysis command, cold vs. memoized.
@@ -296,9 +304,11 @@ def run_benchmarks() -> dict:
 
         if analyze_cold().scanned < 100:
             raise SystemExit("analyze bench workload lost its modules")
-        analyze_cold_time = measure(analyze_cold, warmup=0, repeat=3)
-        analyze_cold()  # leave a populated cache behind for the warm runs
-        analyze_warm_time = measure(analyze_cached, warmup=1, repeat=3)
+        analyze_norm, analyze_cold_time = normalized(analyze_cold, repeat=3)
+        # Each cold run leaves a populated cache for the warm run after it.
+        warm_cold_time, analyze_warm_time = measure_pair(
+            analyze_cold, analyze_cached, repeat=3
+        )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -318,14 +328,14 @@ def run_benchmarks() -> dict:
         return fs
 
     journal_fs = commit_batch()
-    journal_commit_time = measure(commit_batch, warmup=1, repeat=5)
+    journal_norm, journal_commit_time = normalized(commit_batch)
 
     def recover_once() -> DurableStore:
         return DurableStore("/bench/state", fs=journal_fs)
 
     if len(recover_once().keys("slots")) != 50:
         raise SystemExit("durable bench workload lost its records")
-    recovery_time = measure(recover_once, warmup=1, repeat=5)
+    recovery_norm, recovery_time = normalized(recover_once)
 
     # ABL-ASYNC: one pinned fleet run on the virtual clock.  The
     # summary is deterministic, so one run is the measurement.
@@ -339,26 +349,25 @@ def run_benchmarks() -> dict:
         raise SystemExit("fleet bench produced untyped failures")
 
     return {
-        "calibration_seconds": calibration,
         "provider_legs": ["pure"] + (
             ["accelerated"] if accel_metrics else []
         ),
         "metrics": {
             **accel_metrics,
-            "c14n_stream_ratio": c14n_stream_time / c14n_time,
-            "verify_sequential_8_norm": seq_time / calibration,
-            "verify_batch_warm_8_norm": warm_time / calibration,
-            "batch_speedup": seq_time / warm_time,
+            "c14n_stream_ratio": stream_time / stream_whole_time,
+            "verify_sequential_8_norm": seq_norm,
+            "verify_batch_warm_8_norm": warm_norm,
+            "batch_speedup": speedup_seq_time / speedup_warm_time,
             "guard_overhead_ratio": guarded_time / plain_time,
             "warm_digest_hit_ratio": hit_ratio,
-            "c14n_manifest_norm": c14n_time / calibration,
-            "sign_detached_norm": sign_time / calibration,
-            "audit_8sig_norm": audit_time / calibration,
-            "script_run_norm": script_run_time / script_calibration,
-            "analyze_cold_norm": analyze_cold_time / calibration,
-            "analyze_warm_ratio": analyze_warm_time / analyze_cold_time,
-            "journal_commit_norm": journal_commit_time / calibration,
-            "recovery_norm": recovery_time / calibration,
+            "c14n_manifest_norm": c14n_norm,
+            "sign_detached_norm": sign_norm,
+            "audit_8sig_norm": audit_norm,
+            "script_run_norm": script_norm,
+            "analyze_cold_norm": analyze_norm,
+            "analyze_warm_ratio": analyze_warm_time / warm_cold_time,
+            "journal_commit_norm": journal_norm,
+            "recovery_norm": recovery_norm,
             "xkms_p99_norm": fleet.p99,
             "xkms_throughput_norm": fleet.throughput,
             "shed_structured_ratio": fleet.shed_structured_ratio,

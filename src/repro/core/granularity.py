@@ -109,8 +109,7 @@ def sign_at_level(cluster_root: Element, level: ProtectionLevel,
 
 
 def verify_signatures(cluster_root: Element, verifier: Verifier, *,
-                      decryptor=None, batch: bool = False,
-                      max_workers: int | None = None
+                      decryptor=None, batch: bool = False
                       ) -> dict[str, VerificationReport]:
     """Verify every ds:Signature directly under *cluster_root*.
 
@@ -125,8 +124,9 @@ def verify_signatures(cluster_root: Element, verifier: Verifier, *,
     """
     if batch:
         from repro.perf.batch import BatchVerifier
-        outcome = BatchVerifier(verifier, max_workers=max_workers) \
-            .verify_all(cluster_root, decryptor=decryptor)
+        outcome = BatchVerifier(verifier).verify_all(
+            cluster_root, decryptor=decryptor,
+        )
         return outcome.reports
     reports: dict[str, VerificationReport] = {}
     for child in list(cluster_root.child_elements()):

@@ -128,16 +128,12 @@ class PlaybackPipeline:
             decryptor.add_rsa_key(self.device_key)
         return decryptor
 
-    def open_package(self, data: bytes | str,
-                     *, execute_excepted: bool = True
-                     ) -> VerifiedApplication:
+    def open_package(self, data: bytes | str) -> VerifiedApplication:
         """Verify and unlock a package; raises if the player must bar it.
 
-        Args:
-            data: package bytes.
-            execute_excepted: also decrypt ``dcrpt:Except`` regions for
-                execution after verification succeeded (the signature
-                covered their ciphertext).
+        Every region the player's keys can decrypt is decrypted for
+        execution, ``dcrpt:Except`` regions included (the signature
+        covered their ciphertext).
 
         Raises:
             ApplicationRejectedError: unsigned/invalid application under
@@ -146,13 +142,9 @@ class PlaybackPipeline:
         """
         with metrics.timer("pipeline.open_package"):
             metrics.counter("pipeline.packages_opened").increment()
-            return self._open_package(
-                data, execute_excepted=execute_excepted,
-            )
+            return self._open_package(data)
 
-    def _open_package(self, data: bytes | str,
-                      *, execute_excepted: bool = True
-                      ) -> VerifiedApplication:
+    def _open_package(self, data: bytes | str) -> VerifiedApplication:
         from repro.errors import XMLError
         guard = ResourceGuard(self.limits)
         try:

@@ -11,8 +11,8 @@ from repro.dsig.manifest import (
     find_manifest, sign_with_manifest, validate_manifest_references,
 )
 from repro.dsig.reference import (
-    Reference, ReferenceContext, compute_reference_digest,
-    validate_reference,
+    Reference, ReferenceContext, ReferenceResult, check_reference,
+    compute_reference_digest,
 )
 from repro.dsig.signedinfo import SignedInfo
 from repro.dsig.signer import Signer
@@ -20,9 +20,7 @@ from repro.dsig.transforms import (
     BASE64, DECRYPT_BINARY, DECRYPT_XML, ENVELOPED_SIGNATURE,
     KNOWN_TRANSFORMS, XPATH, Transform, TransformContext, apply_transforms,
 )
-from repro.dsig.verifier import (
-    ReferenceResult, VerificationReport, Verifier,
-)
+from repro.dsig.verifier import VerificationReport, Verifier
 
 __all__ = [
     "Signer", "Verifier", "VerificationReport", "ReferenceResult",
@@ -32,7 +30,7 @@ __all__ = [
     "MANIFEST_TYPE",
     "Transform", "TransformContext", "apply_transforms",
     "compute_digest", "compute_signature", "verify_signature",
-    "compute_reference_digest", "validate_reference",
+    "compute_reference_digest", "check_reference",
     "SHA1", "SHA256", "RSA_SHA1", "RSA_SHA256", "HMAC_SHA1", "HMAC_SHA256",
     "DIGEST_ALGORITHMS", "SIGNATURE_ALGORITHMS",
     "ENVELOPED_SIGNATURE", "BASE64", "XPATH", "DECRYPT_XML",

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from repro.errors import SignatureError
-from repro.primitives.hmac import constant_time_equal
 from repro.dsig.reference import (
-    Reference, ReferenceContext, compute_reference_digest,
+    Reference, ReferenceContext, ReferenceResult, check_reference,
+    compute_reference_digest,
 )
 from repro.dsig.signer import Signer
-from repro.dsig.verifier import ReferenceResult
 from repro.primitives.provider import CryptoProvider, get_provider
 from repro.xmlcore import DSIG_NS, element
 from repro.xmlcore.tree import Element
@@ -178,22 +177,7 @@ def validate_manifest_references(signature: Element, *,
         reference = Reference.from_element(reference_el)
         if only_uris is not None and reference.uri not in only_uris:
             continue
-        if reference.digest_value is None:
-            validation.results.append(ReferenceResult(
-                reference.uri, False, "no digest value",
-            ))
-            continue
-        try:
-            actual = compute_reference_digest(reference, context,
-                                              provider)
-        except Exception as exc:
-            validation.results.append(ReferenceResult(
-                reference.uri, False, str(exc),
-            ))
-            continue
-        matched = constant_time_equal(actual, reference.digest_value)
-        validation.results.append(ReferenceResult(
-            reference.uri, matched,
-            "" if matched else "digest mismatch",
-        ))
+        validation.results.append(
+            check_reference(reference, context, provider)
+        )
     return validation

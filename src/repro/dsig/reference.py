@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import ReferenceError_, SignatureError
+from repro.errors import ReferenceError_, ReproError, SignatureError
 from repro.perf import metrics
 from repro.perf.cache import C14NDigestCache
 from repro.primitives.encoding import b64decode, b64encode
@@ -117,9 +117,10 @@ class ReferenceContext:
             when set, eligible same-document references take the cached
             fast path (see :func:`compute_reference_digest`).
         guard: optional
-            :class:`~repro.resilience.limits.ResourceGuard` charged
-            with the canonical octets produced while digesting (cold
-            path only — cache hits produce no new octets).
+            :class:`~repro.resilience.limits.ResourceGuard`:
+            :func:`check_reference` charges each reference's transform
+            count and checks the deadline, and digesting charges the
+            canonical octets produced (cache hits produce none).
     """
 
     root: Element | None = None
@@ -227,16 +228,8 @@ def _fast_path_target(reference: Reference,
     if uri == "":
         return context.root
     # Shares the duplicate-Id refusal with the general path: the fast
-    # path must never be more permissive than a full dereference.  The
-    # resolution is revision-keyed in the cache, so repeat batch runs
-    # over an unchanged tree skip the uniqueness scan.
-    root = context.root
-    if context.cache is None:
-        return _unique_element_by_id(root, uri[1:])
-    return context.cache.element_by_id(
-        root, uri[1:],
-        lambda: _unique_element_by_id(root, uri[1:]),
-    )
+    # path must never be more permissive than a full dereference.
+    return _unique_element_by_id(context.root, uri[1:])
 
 
 def compute_reference_digest(reference: Reference,
@@ -251,43 +244,31 @@ def compute_reference_digest(reference: Reference,
     so any mutation anywhere in the document invalidates the entry —
     a cached digest can never validate a tampered subtree.
 
-    Cold-path digests stream: canonical chunks feed the provider's
-    incremental hash context (already-cached canonical octets are
-    digested directly), so the full canonical string is never
-    materialised just to be hashed.
+    Digests stream: canonical chunks feed the provider's incremental
+    hash context, so the full canonical string is never materialised
+    just to be hashed.
     """
     provider = provider or get_provider()
     with metrics.timer("dsig.reference_digest"):
         target = _fast_path_target(reference, context)
         if target is not None:
-            cache = context.cache
             transforms = reference.transforms
             algorithm = transforms[0].algorithm if transforms else C14N
             prefixes = (transforms[0].inclusive_prefixes
                         if transforms else ())
-            if cache is None:
-                # Zero-copy streaming: a pure-canonicalization chain
-                # cannot mutate the document, so the live subtree is
-                # digested directly — no working copy, no cache.
-                return algorithms.compute_digest_canonical(
-                    reference.digest_method, target, algorithm,
-                    prefixes, provider, guard=context.guard,
-                )
 
             def compute() -> bytes:
-                octets = cache.peek_canonical_octets(
-                    context.root, target, algorithm, prefixes,
-                )
-                if octets is not None:
-                    return algorithms.compute_digest(
-                        reference.digest_method, octets, provider,
-                    )
+                # A pure-canonicalization chain cannot mutate the
+                # document, so the live subtree is digested directly:
+                # no working copy.
                 return algorithms.compute_digest_canonical(
                     reference.digest_method, target, algorithm,
                     prefixes, provider, guard=context.guard,
                 )
 
-            return cache.reference_digest(
+            if context.cache is None:
+                return compute()
+            return context.cache.reference_digest(
                 context.root, target, algorithm, prefixes,
                 reference.digest_method, compute,
             )
@@ -310,10 +291,35 @@ def compute_reference_digest(reference: Reference,
         return digest
 
 
-def validate_reference(reference: Reference, context: ReferenceContext,
-                       provider: CryptoProvider | None = None) -> bool:
-    """True if the recorded digest matches a fresh computation."""
+@dataclass
+class ReferenceResult:
+    """Validation outcome for one reference."""
+
+    uri: str | None
+    valid: bool
+    error: str = ""
+
+
+def check_reference(reference: Reference, context: ReferenceContext,
+                    provider: CryptoProvider | None = None,
+                    ) -> ReferenceResult:
+    """Reference validation: does the recorded digest match the target?
+
+    Core validation and ds:Manifest checks both judge each reference
+    here.  The transform count and deadline are charged to
+    ``context.guard`` first.  Any processing failure (unresolvable or
+    ambiguous URI, unsupported transform, undecryptable region, quota
+    trip) makes the reference invalid with the error's message.
+    """
     if reference.digest_value is None:
-        return False
-    actual = compute_reference_digest(reference, context, provider)
-    return constant_time_equal(actual, reference.digest_value)
+        return ReferenceResult(reference.uri, False, "no digest value")
+    try:
+        if context.guard is not None:
+            context.guard.check_transform_count(len(reference.transforms))
+            context.guard.check_deadline()
+        actual = compute_reference_digest(reference, context, provider)
+    except ReproError as exc:
+        return ReferenceResult(reference.uri, False, str(exc))
+    if not constant_time_equal(actual, reference.digest_value):
+        return ReferenceResult(reference.uri, False, "digest mismatch")
+    return ReferenceResult(reference.uri, True)

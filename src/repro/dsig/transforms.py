@@ -262,7 +262,12 @@ def _apply_one(value, transform: Transform, context: TransformContext):
 
     if algorithm == BASE64:
         if isinstance(value, bytes):
-            text = value.decode("utf-8")
+            try:
+                text = value.decode("utf-8")
+            except UnicodeDecodeError:
+                raise SignatureError(
+                    "base64 transform input is not text"
+                ) from None
         else:
             node = _require_node(value, algorithm)
             text = node.text_content()

@@ -12,13 +12,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    ReproError, ResourceLimitExceeded, VerificationError,
-)
+from repro.errors import ResourceLimitExceeded, VerificationError
 from repro.perf import metrics
 from repro.perf.cache import C14NDigestCache, get_default_cache
 from repro.primitives.encoding import b64decode
-from repro.primitives.hmac import constant_time_equal
 from repro.primitives.provider import CryptoProvider, get_provider
 from repro.xmlcore import DSIG_NS, canonicalize
 from repro.xmlcore.tree import Element
@@ -26,18 +23,9 @@ from repro.certs.store import TrustStore, ValidationResult
 from repro.dsig import algorithms
 from repro.dsig.keyinfo import KeyInfo
 from repro.dsig.reference import (
-    Reference, ReferenceContext, compute_reference_digest,
+    ReferenceContext, ReferenceResult, check_reference,
 )
 from repro.dsig.signedinfo import SignedInfo
-
-
-@dataclass
-class ReferenceResult:
-    """Validation outcome for one reference."""
-
-    uri: str | None
-    valid: bool
-    error: str = ""
 
 
 @dataclass
@@ -266,10 +254,10 @@ class Verifier:
             namespaces=namespaces or {}, cache=self.cache,
             guard=self.guard,
         )
-        for reference in signed_info.references:
-            report.references.append(
-                self._check_reference(reference, context, provider)
-            )
+        report.references = [
+            check_reference(reference, context, provider)
+            for reference in signed_info.references
+        ]
         return report
 
     def verify_or_raise(self, signature: Element, **kwargs
@@ -280,32 +268,6 @@ class Verifier:
         return report
 
     # -- internals -------------------------------------------------------------------
-
-    def _check_reference(self, reference: Reference,
-                         context: ReferenceContext,
-                         provider: CryptoProvider | None = None,
-                         ) -> ReferenceResult:
-        if provider is None:
-            provider = self.provider
-        if reference.digest_value is None:
-            return ReferenceResult(reference.uri, False, "no digest value")
-        if self.guard is not None:
-            try:
-                self.guard.check_transform_count(len(reference.transforms))
-                self.guard.check_deadline()
-            except ResourceLimitExceeded as exc:
-                return ReferenceResult(reference.uri, False, str(exc))
-        try:
-            actual = compute_reference_digest(reference, context,
-                                              provider)
-        except ReproError as exc:
-            # Any processing failure — unresolvable URI, unsupported
-            # transform, undecryptable region (decryption transform
-            # without the right key) — makes the reference invalid.
-            return ReferenceResult(reference.uri, False, str(exc))
-        if not constant_time_equal(actual, reference.digest_value):
-            return ReferenceResult(reference.uri, False, "digest mismatch")
-        return ReferenceResult(reference.uri, True)
 
     def _resolve_key(self, signature: Element, explicit_key,
                      report: VerificationReport):

@@ -27,7 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.errors import SignatureError
+from repro.errors import ReproError, SignatureError
 from repro.perf import metrics
 from repro.xmlcore import DSIG_NS
 from repro.xmlcore.tree import Element
@@ -156,7 +156,10 @@ class BatchVerifier:
                 continue  # the per-signature verify reports the error
             for reference in signed_info.references:
                 total += 1
-                target = _fast_path_target(reference, context)
+                try:
+                    target = _fast_path_target(reference, context)
+                except ReproError:
+                    continue  # a missing or duplicated Id: verify says so
                 if target is None:
                     continue
                 transforms = reference.transforms
@@ -173,7 +176,7 @@ class BatchVerifier:
             try:
                 compute_reference_digest(reference, context,
                                          self.verifier.provider)
-            except Exception:
+            except ReproError:
                 pass  # the owning signature's verify reports it
 
         jobs = list(unique.values())

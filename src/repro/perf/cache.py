@@ -4,7 +4,7 @@ Canonicalizing and digesting a subtree is the player's hottest
 verification path: the ABL-GRAN sweep shows verify cost growing
 linearly with the number of signed sub-markups because every
 ``ds:Reference`` re-canonicalizes its target from scratch.  This cache
-memoizes those octets/digests, keyed by::
+memoizes those digests, keyed by::
 
     (subtree identity, c14n parameters, digest algorithm)
 
@@ -48,26 +48,26 @@ def _certificate_key(certificate) -> tuple:
 
 
 class C14NDigestCache:
-    """Bounded LRU cache of canonical octets and reference digests.
+    """Bounded LRU memo of the verify path's four repeatable results.
+
+    The tables are reference digests, canonical ds:SignedInfo octets,
+    certificate-chain verdicts and public-key signature verdicts.  Ids
+    are not memoized here: references resolve through the tree's own
+    revision-stamped Id index
+    (:meth:`~repro.xmlcore.tree.Element.get_elements_by_id`).
 
     Args:
-        max_entries: LRU bound per table (c14n octets and digests are
+        max_entries: LRU bound per table (octets and digests are
             cached in separate tables so a digest entry does not pin
             the usually much larger octet string).
-        cache_octets: also memoize raw canonical octets (digests alone
-            are far smaller; octet caching helps signing flows that
-            re-canonicalize, at a memory cost).
     """
 
-    def __init__(self, max_entries: int = 4096, *,
-                 cache_octets: bool = True):
+    def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
-        self.cache_octets = cache_octets
         self._digests: OrderedDict[tuple, tuple] = OrderedDict()
         self._octets: OrderedDict[tuple, tuple] = OrderedDict()
         self._chains: OrderedDict[tuple, tuple] = OrderedDict()
         self._sigchecks: OrderedDict[tuple, bool] = OrderedDict()
-        self._ids: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
         # Single-flight ledger: memo key -> Event set by the context
         # currently computing that key, so concurrent misses wait for
@@ -114,10 +114,9 @@ class C14NDigestCache:
         """Canonical octets of *target* within *root*'s tree.
 
         *compute* is a zero-argument callable producing the octets on a
-        miss.
+        miss.  The verifier caches ds:SignedInfo here; reference
+        targets are digested as they stream and never materialised.
         """
-        if not self.cache_octets:
-            return compute()
         key = _subtree_key(root, target) + (
             algorithm, inclusive_prefixes,
         )
@@ -126,24 +125,6 @@ class C14NDigestCache:
             value = compute()
             self._put(self._octets, key, root, target, value)
         return value
-
-    def peek_canonical_octets(self, root, target, algorithm: str,
-                              inclusive_prefixes: tuple[str, ...],
-                              ) -> bytes | None:
-        """Already-cached canonical octets, or ``None`` — never computes.
-
-        The streaming reference path digests cached octets when a warm
-        entry exists (same key shape as :meth:`canonical_octets`, so
-        warm-path behaviour is unchanged) and otherwise streams the
-        digest without materialising — which is exactly why it must
-        not force octets into existence here.
-        """
-        if not self.cache_octets:
-            return None
-        key = _subtree_key(root, target) + (
-            algorithm, inclusive_prefixes,
-        )
-        return self._get(self._octets, key, root, target, "c14n")
 
     def reference_digest(self, root, target, algorithm: str,
                          inclusive_prefixes: tuple[str, ...],
@@ -233,46 +214,12 @@ class C14NDigestCache:
                 self._inflight.pop(memo_key, None)
             done.set()
 
-    def element_by_id(self, root, value: str, compute):
-        """The unique element carrying Id *value* in *root*'s tree.
-
-        *compute* resolves the Id on a miss — including the duplicate
-        scan of the wrapping defence — and may raise; only successful
-        unique resolutions are cached.  Revision-keyed like everything
-        else: any mutation in the document re-runs the full scan, so a
-        cached resolution can never mask a freshly planted duplicate.
-        """
-        key = (id(root), root.revision, value)
-        with self._lock:
-            entry = self._ids.get(key)
-            if entry is not None:
-                root_ref, target_ref = entry
-                target = target_ref()
-                if root_ref() is root and target is not None:
-                    self._ids.move_to_end(key)
-                    metrics.counter("perf.cache.id.hit").increment()
-                    return target
-                del self._ids[key]
-            metrics.counter("perf.cache.id.miss").increment()
-        target = compute()
-        try:
-            entry = (weakref.ref(root), weakref.ref(target))
-        except TypeError:  # un-weakref-able stand-ins (tests)
-            return target
-        with self._lock:
-            self._ids[key] = entry
-            self._ids.move_to_end(key)
-            while len(self._ids) > self.max_entries:
-                self._ids.popitem(last=False)
-        return target
-
     # -- maintenance ------------------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
             return (len(self._digests) + len(self._octets)
-                    + len(self._chains) + len(self._sigchecks)
-                    + len(self._ids))
+                    + len(self._chains) + len(self._sigchecks))
 
     def clear(self) -> None:
         with self._lock:
@@ -280,14 +227,13 @@ class C14NDigestCache:
             self._octets.clear()
             self._chains.clear()
             self._sigchecks.clear()
-            self._ids.clear()
 
 
 class NullCache(C14NDigestCache):
     """A cache that never stores anything (sequential baseline)."""
 
     def __init__(self):
-        super().__init__(max_entries=0, cache_octets=False)
+        super().__init__(max_entries=0)
 
     def canonical_octets(self, root, target, algorithm,
                          inclusive_prefixes, compute) -> bytes:
@@ -303,9 +249,6 @@ class NullCache(C14NDigestCache):
 
     def signature_verification(self, algorithm, key, octets,
                                signature_value, compute) -> bool:
-        return compute()
-
-    def element_by_id(self, root, value, compute):
         return compute()
 
 

@@ -21,7 +21,7 @@ from repro.errors import (
     ApplicationRejectedError, NetworkError, PermissionDeniedError,
     ScriptError,
 )
-from repro.resilience.degradation import DegradationEvent, DegradationLog
+from repro.resilience.degradation import DegradationEvent
 from repro.markup.script_interp import HostObject, Interpreter
 from repro.markup.smil import Presentation, ScheduledItem, parse_smil
 from repro.permissions.request_file import (
@@ -84,7 +84,6 @@ class InteractiveApplicationEngine:
         self.clip_durations = dict(clip_durations or {})
         self.max_instructions = max_instructions
         self.model = model
-        self.degradation = DegradationLog()
 
     # -- loading ---------------------------------------------------------------------
 
@@ -204,7 +203,7 @@ class InteractiveApplicationEngine:
                 blob = self.storage.read(app_id, str(key))
             except Exception:
                 return None
-            if blob.startswith((b"ENC1", b"ENC2")):
+            if blob.startswith(b"ENC2"):
                 if self.storage_key is None:
                     return None
                 blob = self.storage.read_encrypted(
@@ -230,7 +229,7 @@ class InteractiveApplicationEngine:
                 # Graceful degradation: a dead or exhausted link bars
                 # this one resource (the script sees null), it does not
                 # abort the application or the disc.
-                event = self.degradation.record(
+                event = self.pipeline.degradation.record(
                     "network-api", f"{host}{path}", exc,
                 )
                 session.degradations.append(event)

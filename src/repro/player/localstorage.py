@@ -9,15 +9,13 @@ high-scores scenario (§4): "a Player can encrypt and store the high
 scores of a game in local storage while keeping the general
 application markup unencrypted."
 
-Two persistence backends exist.  The legacy one-file-per-slot layout
-(:meth:`LocalStorage.save_to_directory`) writes each slot through the
-durable layer's :func:`~repro.resilience.durable.atomic_write`, so a
-power cut leaves whole old values or whole new values, never torn
-ones.  The journaled backend (:meth:`LocalStorage.open_durable`)
+Storage lives in memory unless :meth:`LocalStorage.open_durable`
 attaches a :class:`~repro.resilience.durable.DurableStore`: every
-mutation is committed to the checksummed write-ahead journal before it
-is acknowledged, and reopening after a crash recovers exactly the
-acknowledged slots.
+mutation is then committed to the checksummed write-ahead journal
+before it is acknowledged, and reopening after a crash recovers exactly
+the acknowledged slots.  Encrypted slots have one format, ``ENC2``
+(encrypt-then-MAC); any other blob is refused as not an encrypted slot
+before a byte of it is decrypted.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.primitives.provider import CryptoProvider, get_provider
 from repro.primitives.random import RandomSource, default_random
 from repro.resilience.crashfs import Filesystem
 from repro.resilience.degradation import DegradationLog
-from repro.resilience.durable import DurableStore, atomic_write
+from repro.resilience.durable import DurableStore
 from repro.xmlenc import algorithms as xenc_algorithms
 
 
@@ -43,7 +41,7 @@ class LocalStorage:
     _data: dict[str, dict[str, bytes]] = field(default_factory=dict)
     provider: CryptoProvider | None = None
     rng: RandomSource | None = None
-    #: journaled backend; ``None`` means in-memory / legacy directory.
+    #: journaled backend; ``None`` means in-memory only.
     _durable: DurableStore | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -100,92 +98,6 @@ class LocalStorage:
             self._durable.wipe(app_id)
             self._durable.commit()
         self._data.pop(app_id, None)
-
-    # -- persistence (the player's flash survives power cycles) ---------------------------
-
-    def save_to_directory(self, directory: str) -> None:
-        """Persist all slots under *directory* (one file per slot).
-
-        Slots deleted since the last save are removed from disk too —
-        a stale file left behind would resurrect the deleted value on
-        the next :meth:`load_from_directory`.  Each slot file is
-        written through :func:`~repro.resilience.durable.atomic_write`,
-        so power loss mid-save never leaves a torn value.
-        """
-        import os
-        from repro.primitives.encoding import hexencode
-        os.makedirs(directory, exist_ok=True)
-        live_apps = {hexencode(app_id.encode("utf-8")): app_id
-                     for app_id, space in self._data.items() if space}
-        for entry in os.listdir(directory):
-            app_dir = os.path.join(directory, entry)
-            if not os.path.isdir(app_dir):
-                continue
-            if entry not in live_apps:
-                for name in os.listdir(app_dir):
-                    os.remove(os.path.join(app_dir, name))
-                os.rmdir(app_dir)
-                continue
-            live_keys = {
-                hexencode(key.encode("utf-8"))
-                for key in self._data[live_apps[entry]]
-            }
-            for name in os.listdir(app_dir):
-                if name not in live_keys:
-                    os.remove(os.path.join(app_dir, name))
-        for app_id, space in self._data.items():
-            if not space:
-                continue
-            app_dir = os.path.join(directory, hexencode(
-                app_id.encode("utf-8")
-            ))
-            os.makedirs(app_dir, exist_ok=True)
-            for key, value in space.items():
-                path = os.path.join(app_dir, hexencode(
-                    key.encode("utf-8")
-                ))
-                atomic_write(path, value)
-
-    @classmethod
-    def load_from_directory(cls, directory: str,
-                            quota_bytes: int = 1 << 20) -> "LocalStorage":
-        """Restore storage previously saved with
-        :meth:`save_to_directory`.
-
-        The quota is enforced on load as well as on write: flash
-        contents are attacker-reachable state, and restoring an
-        over-quota application would let a crafted image bypass the
-        per-application budget entirely.
-
-        Raises:
-            LocalStorageError: when a restored application exceeds
-                *quota_bytes*.
-        """
-        import os
-        from repro.primitives.encoding import hexdecode
-        storage = cls(quota_bytes=quota_bytes)
-        if not os.path.isdir(directory):
-            return storage
-        for app_hex in os.listdir(directory):
-            app_dir = os.path.join(directory, app_hex)
-            if not os.path.isdir(app_dir):
-                continue
-            app_id = hexdecode(app_hex).decode("utf-8")
-            used = 0
-            for key_hex in os.listdir(app_dir):
-                if key_hex.endswith(".tmp"):
-                    continue  # torn atomic_write leftovers
-                key = hexdecode(key_hex).decode("utf-8")
-                with open(os.path.join(app_dir, key_hex), "rb") as handle:
-                    value = handle.read()
-                used += len(key.encode()) + len(value)
-                if used > quota_bytes:
-                    raise LocalStorageError(
-                        f"stored data for {app_id!r} exceeds the "
-                        f"{quota_bytes}-byte quota on load"
-                    )
-                storage._data.setdefault(app_id, {})[key] = value
-        return storage
 
     # -- journaled backend (crash-safe, acknowledged commits) ----------------------------
 
@@ -275,21 +187,18 @@ class LocalStorage:
     def read_encrypted(self, app_id: str, key: str,
                        storage_key: SymmetricKey) -> bytes:
         blob = self.read(app_id, key)
-        if blob.startswith(b"ENC2"):
-            tag, ciphertext = blob[4:36], blob[36:]
-            if not constant_time_equal(
-                    tag, self._slot_mac(storage_key, ciphertext)):
-                raise LocalStorageError(
-                    f"encrypted slot {key!r} failed to decrypt (torn "
-                    "write, tampering, or wrong storage key)"
-                )
-        elif blob.startswith(b"ENC1"):
-            # Legacy unauthenticated slot: decrypt best-effort, with
-            # padding failure as the only tamper signal.
-            ciphertext = blob[4:]
-        else:
+        if not blob.startswith(b"ENC2"):
             raise LocalStorageError(
                 f"{key!r} is not an encrypted slot"
+            )
+        # The tag is checked before any decryption, so a tampered slot
+        # never reaches the CBC padding check (no padding oracle).
+        tag, ciphertext = blob[4:36], blob[36:]
+        if not constant_time_equal(
+                tag, self._slot_mac(storage_key, ciphertext)):
+            raise LocalStorageError(
+                f"encrypted slot {key!r} failed to decrypt (torn "
+                "write, tampering, or wrong storage key)"
             )
         try:
             return xenc_algorithms.decrypt_block_data(
@@ -306,4 +215,4 @@ class LocalStorage:
             ) from error
 
     def is_encrypted(self, app_id: str, key: str) -> bool:
-        return self.read(app_id, key).startswith((b"ENC1", b"ENC2"))
+        return self.read(app_id, key).startswith(b"ENC2")

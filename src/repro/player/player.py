@@ -36,7 +36,6 @@ from repro.primitives.keys import RSAPrivateKey, SymmetricKey
 from repro.primitives.provider import CryptoProvider, get_provider
 from repro.resilience.degradation import DegradationLog
 from repro.xmlcore import DISC_NS
-from repro.xmlenc.decryptor import Decryptor
 
 
 @dataclass
@@ -164,7 +163,7 @@ class DiscPlayer:
             resolver=image.resolver, provider=self.provider, now=self.now,
         )
         reports = verify_signatures(
-            cluster_element, verifier, decryptor=self._decryptor(),
+            cluster_element, verifier, decryptor=self.pipeline._decryptor(),
             batch=True,
         )
         authenticated = bool(reports) and all(
@@ -187,7 +186,7 @@ class DiscPlayer:
                     continue
                 validation = validate_manifest_references(
                     child, resolver=image.resolver,
-                    decryptor=self._decryptor(),
+                    decryptor=self.pipeline._decryptor(),
                     provider=self.provider,
                 )
                 manifest_validations[child.get("Id") or "?"] = validation
@@ -241,14 +240,6 @@ class DiscPlayer:
         if self._session is None:
             raise PlayerError("no disc inserted")
         return self._session
-
-    def _decryptor(self) -> Decryptor:
-        decryptor = Decryptor(provider=self.provider)
-        for name, key in self.key_slots.items():
-            decryptor.add_key(name, key)
-        if self.device_key is not None:
-            decryptor.add_rsa_key(self.device_key)
-        return decryptor
 
     # -- A/V playback -----------------------------------------------------------------
 
@@ -306,7 +297,7 @@ class DiscPlayer:
         if manifest_element is None:
             # The manifest may be encrypted: decrypt a working copy.
             working = cluster_element.copy()
-            self._decryptor().decrypt_in_place(working)
+            self.pipeline._decryptor().decrypt_in_place(working)
             for candidate in working.iter("manifest", DISC_NS):
                 if candidate.get("name") == name:
                     manifest_element = candidate
@@ -322,7 +313,7 @@ class DiscPlayer:
                 "signature (wrapping attack suspected)"
             )
         working_manifest = manifest_element.detached_copy()
-        self._decryptor().decrypt_in_place(working_manifest)
+        self.pipeline._decryptor().decrypt_in_place(working_manifest)
         manifest = ApplicationManifest.from_element(working_manifest)
 
         permission_file = self._disc_permission_file(session, name)

@@ -52,6 +52,13 @@ def test_base64_transform_from_bytes():
     assert out == b"x"
 
 
+def test_base64_transform_of_non_text_bytes_is_a_signature_error():
+    with pytest.raises(SignatureError,
+                       match="^base64 transform input is not text$"):
+        apply_transforms(b"\xff\xfe\x00", [Transform(BASE64)],
+                         TransformContext())
+
+
 def test_enveloped_removes_only_the_processed_signature():
     root = parse_element(
         '<r xmlns:ds="http://www.w3.org/2000/09/xmldsig#">'

@@ -378,7 +378,29 @@ def test_script_network_get_degrades_to_null(pki, trust_store,
     assert session.console == ["degraded"]
     assert session.degradations[0].component == "network-api"
     assert session.degradations[0].reason == REASON_RETRY_EXHAUSTED
-    assert engine.degradation.degraded
+    assert engine.pipeline.degradation.degraded
+
+
+def test_script_network_degradation_lands_on_the_player_log(
+        pki, trust_store, device_key, rng):
+    script = 'var d = network.get("cdn.studio.example", "/extra");'
+    package_data = signed_package_bytes(
+        pki, device_key, rng, script=script,
+        permissions=[(PERM_RETURN_CHANNEL,
+                      {"hosts": ("cdn.studio.example",)})],
+    )
+
+    def dead_fetch(host, path):
+        raise RetryExhaustedError("link down", attempts=3)
+
+    player = DiscPlayer(trust_store, device_key=device_key,
+                        network_fetch=dead_fetch)
+    session = player.run_application(
+        player.pipeline.open_package(package_data)
+    )
+    assert player.degradation.for_component("network-api") \
+        == session.degradations
+    assert session.degradations[0].reason == REASON_RETRY_EXHAUSTED
 
 
 # -- secure channel under faults ---------------------------------------------------

@@ -65,7 +65,7 @@ def test_encrypted_slots(rng):
 
 def test_encrypted_slot_wrong_key(rng):
     # ENC2 slots are encrypt-then-MAC: a wrong key fails the tag check
-    # *deterministically* (the legacy ENC1 format only caught it when
+    # *deterministically* (an untagged slot would only catch it when
     # garbage happened not to unpad), and the failure is the storage
     # layer's typed error, not a raw crypto traceback.
     from repro.errors import LocalStorageError
@@ -77,18 +77,27 @@ def test_encrypted_slot_wrong_key(rng):
         storage.read_encrypted("game", "hs", wrong)
 
 
-def test_legacy_enc1_slot_still_reads(rng):
-    # Blobs written before encrypt-then-MAC landed carry no tag; they
-    # must keep decrypting through the same API.
+def test_untagged_enc1_blob_is_refused_before_decryption(rng):
+    # An untagged CBC blob would decrypt with padding failure as its
+    # only tamper signal: a padding oracle on the storage key that
+    # bypasses encrypt-then-MAC.  Such blobs are not encrypted slots,
+    # whatever their bytes.
     from repro.xmlenc import algorithms as xenc_algorithms
     storage = LocalStorage()
     key = SymmetricKey(rng.read(16))
-    ciphertext = xenc_algorithms.encrypt_block_data(
+    fresh = xenc_algorithms.encrypt_block_data(
         xenc_algorithms.AES128_CBC, key, b"old-score",
         storage.provider, storage.rng)
-    storage.write("game", "hs", b"ENC1" + ciphertext)
-    assert storage.is_encrypted("game", "hs")
-    assert storage.read_encrypted("game", "hs", key) == b"old-score"
+    storage.write_encrypted("game", "hs", b"120", key)
+    stripped = storage.read("game", "hs")[36:]   # a genuine ENC2 body
+    flipped = [stripped[:-17] + bytes([value]) + stripped[-16:]
+               for value in range(256)]
+    for ciphertext in [fresh, stripped] + flipped:
+        storage.write("game", "legacy", b"ENC1" + ciphertext)
+        assert not storage.is_encrypted("game", "legacy")
+        with pytest.raises(LocalStorageError,
+                           match="'legacy' is not an encrypted slot"):
+            storage.read_encrypted("game", "legacy", key)
 
 
 def test_read_encrypted_on_plain_slot(rng):
@@ -98,25 +107,3 @@ def test_read_encrypted_on_plain_slot(rng):
         storage.read_encrypted("game", "plain",
                                SymmetricKey(rng.read(16)))
     assert not storage.is_encrypted("game", "plain")
-
-
-def test_persistence_roundtrip(tmp_path, rng):
-    storage = LocalStorage()
-    key = SymmetricKey(rng.read(16))
-    storage.write("game/a", "plain slot", b"value-1")
-    storage.write_encrypted("game/a", "secret", b"hidden", key)
-    storage.write("other.app", "x", b"value-2")
-    storage.save_to_directory(str(tmp_path))
-
-    restored = LocalStorage.load_from_directory(str(tmp_path))
-    assert restored.read("game/a", "plain slot") == b"value-1"
-    assert restored.read_encrypted("game/a", "secret", key) == b"hidden"
-    assert restored.read("other.app", "x") == b"value-2"
-    assert restored.keys("game/a") == ["plain slot", "secret"]
-
-
-def test_load_missing_directory(tmp_path):
-    restored = LocalStorage.load_from_directory(
-        str(tmp_path / "nowhere")
-    )
-    assert restored.keys("any") == []
