@@ -183,6 +183,35 @@ def pinned_script(lines: int = 70, seed: int = 20050902) -> tuple[str, str]:
     return "\n".join(body) + "\n", f"menu:{acc}"
 
 
+def pinned_cluster(world: BenchWorld, apps: int = 6) -> bytes:
+    """The parse gate's input: a signed disc cluster (about 32 KB).
+
+    *apps* applications, each with four sub-markups and a pinned menu
+    script (whose loops carry ``&lt;``), mastered and signed at TRACK
+    level with stream signatures, as a studio release is.  The keys
+    and the signature scheme are deterministic, so the bytes are too.
+    """
+    from repro.core import ProtectionLevel, disc_security
+    from repro.disc import DiscAuthor
+    from repro.dsig import Signer
+
+    disc = DiscAuthor("Bench Title")
+    clip = disc.add_clip(6.0, stream=bytes(188 * 4))
+    disc.add_feature("feature", [clip])
+    for index in range(apps):
+        manifest = build_manifest(f"app{index}", scripts=0, submarkups=4)
+        manifest.add_script(pinned_script(70, seed=20050902 + index)[0])
+        disc.add_application(manifest)
+    image = disc.master()
+    disc_security.sign_disc_image(
+        image,
+        Signer(world.studio.key, identity=world.studio),
+        level=ProtectionLevel.TRACK,
+        include_streams=True,
+    )
+    return image.read(image.cluster_path())
+
+
 def run_pinned_script(source: str) -> tuple[list[str], int]:
     """Run *source* with a logging ``player`` host object; return the
     console lines and the instruction count."""

@@ -1,7 +1,7 @@
 """Benchmark-regression gate for CI.
 
 Runs a small, deterministic subset of the ABL benchmarks, writes the
-results to a JSON artifact (``BENCH_PR2.json`` by default) and fails —
+results to a JSON artifact (``BENCH_PR18.json`` by default) and fails —
 exit status 1 — when any tracked metric regresses more than the
 threshold (20% by default) against the committed
 ``benchmarks/baseline.json``.
@@ -19,7 +19,7 @@ normalization at all.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_regression.py \
-        --output BENCH_PR2.json
+        --output BENCH_PR18.json
     PYTHONPATH=src python benchmarks/bench_regression.py \
         --update-baseline        # refresh benchmarks/baseline.json
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,7 +37,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _workloads import (  # noqa: E402
     build_manifest,
     build_world,
+    measure,
     measure_pair,
+    pinned_cluster,
     pinned_script,
     run_pinned_script,
 )
@@ -57,6 +60,9 @@ DIRECTIONS = {
     # ABL-SCRIPT: lex, parse and run of the pinned 70-line menu script
     # (the player's launch-path script shape)
     "script_run_norm": "lower",
+    # XML front end: one parse of the pinned signed disc cluster under
+    # the default guard (the studio and player read path)
+    "parse_cluster_norm": "lower",
     # accelerated-provider legs (PR 7): the hardware-crypto deployment
     # shape must stay >= 5x faster than the pure baseline was
     "sign_detached_accel_norm": "lower",
@@ -129,6 +135,9 @@ def run_benchmarks() -> dict:
     from repro.xmlcore import canonicalize
 
     world = build_world()
+    # Built first: its Ids come from process-wide counters, so the
+    # bytes are the same in every run only if nothing is built before.
+    cluster = pinned_cluster(world)
     signer = Signer(world.studio.key, identity=world.studio)
 
     def fat_manifest():
@@ -281,6 +290,27 @@ def run_benchmarks() -> dict:
         lambda: run_pinned_script(script),
     )
 
+    # XML front end: parse the pinned signed cluster.  One parse is a
+    # few milliseconds, so each sample repeats it for at least 20 ms;
+    # a single short call is timed in a cold state that varies from
+    # run to run.
+    from repro.resilience import ResourceGuard
+    from repro.xmlcore import parse_document
+
+    if len(cluster) < 20_000:
+        raise SystemExit("parse bench cluster shrank below 20 KB")
+
+    def parse_cluster():
+        return parse_document(cluster, guard=ResourceGuard())
+
+    parse_repeat = max(1, math.ceil(0.02 / measure(parse_cluster)))
+
+    def parse_cluster_repeated():
+        for _ in range(parse_repeat):
+            parse_cluster()
+
+    parse_norm, parse_time = normalized(parse_cluster_repeated)
+
     # ABL-ANALYZE: the one analysis command, cold vs. memoized.
     import shutil
     import tempfile
@@ -364,6 +394,7 @@ def run_benchmarks() -> dict:
             "sign_detached_norm": sign_norm,
             "audit_8sig_norm": audit_norm,
             "script_run_norm": script_norm,
+            "parse_cluster_norm": parse_norm / parse_repeat,
             "analyze_cold_norm": analyze_norm,
             "analyze_warm_ratio": analyze_warm_time / warm_cold_time,
             "journal_commit_norm": journal_norm,
@@ -380,6 +411,7 @@ def run_benchmarks() -> dict:
             "sign_detached": sign_time,
             "audit_8sig": audit_time,
             "script_run": script_run_time,
+            "parse_cluster": parse_time / parse_repeat,
             "analyze_cold": analyze_cold_time,
             "analyze_warm": analyze_warm_time,
             "journal_commit_50": journal_commit_time,
@@ -455,7 +487,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default="BENCH_PR9.json",
+        default="BENCH_PR18.json",
         help="result artifact path",
     )
     parser.add_argument(

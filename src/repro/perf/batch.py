@@ -9,8 +9,8 @@ signed sub-markups (the ABL-GRAN sweep).  The batch engine instead:
    a track group, or a manifest-carrying element);
 2. **deduplicates** references that resolve to the same subtree with
    the same canonicalization parameters and digest algorithm, and
-   pre-computes each unique digest exactly once into the shared
-   :class:`~repro.perf.cache.C14NDigestCache`;
+   pre-computes each unique digest exactly once, in document order,
+   into the shared :class:`~repro.perf.cache.C14NDigestCache`;
 3. verifies the signatures across a ``concurrent.futures`` thread
    pool (auto-sized to the machine) that shares the live tree and the
    cache, and fans the per-reference verdicts back into ordinary
@@ -140,10 +140,13 @@ class BatchVerifier:
 
         Returns ``(total_references, deduplicated)``.  Only references
         eligible for the cached fast path participate; the rest are
-        computed by their own signature's verification as usual.
+        computed by their own signature's verification as usual.  The
+        verifier's guard meters every digest made here, so a quota
+        trips on the same references as on the sequential path.
         """
         cache = self.verifier.cache
-        context = ReferenceContext(root=root, cache=cache)
+        context = ReferenceContext(root=root, cache=cache,
+                                   guard=self.verifier.guard)
         total = 0
         unique = {}
         for signature in signatures:
@@ -172,21 +175,15 @@ class BatchVerifier:
                 unique.setdefault(key, reference)
         duplicates = total - len(unique) if unique else 0
 
-        def warm(reference) -> None:
+        # In document order, one at a time, as the sequential path makes
+        # them: a guard meters in that order, and which digests fit a
+        # quota depends on it.
+        for reference in unique.values():
             try:
                 compute_reference_digest(reference, context,
                                          self.verifier.provider)
             except ReproError:
                 pass  # the owning signature's verify reports it
-
-        jobs = list(unique.values())
-        if len(jobs) > 1:
-            workers = self.max_workers or auto_worker_count(len(jobs))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(warm, jobs))
-        else:
-            for reference in jobs:
-                warm(reference)
         return total, max(0, duplicates)
 
     # -- execution backends -------------------------------------------------------

@@ -18,7 +18,15 @@ text-node size are metered as the document streams through.  Callers
 on untrusted paths pass a guard explicitly (lint rule LIN106); the
 documented default is ``ResourceGuard.default()``.
 
-Errors carry 1-based line/column positions.
+Element content is read by one loop over whole tokens: a start tag
+with its attribute list (and, for a leaf of plain text, its text and
+end tag), an end tag, a run of text.  Every other construct, and every
+token that could raise or trip a quota, goes to the per-construct
+helper that has always handled it, at the same offset (DESIGN.md
+§3.2).
+
+Errors carry 1-based line/column positions, computed from the offset
+only when an error is raised.
 """
 
 from __future__ import annotations
@@ -31,12 +39,23 @@ from repro.xmlcore.names import (
     split_qname,
 )
 from repro.xmlcore.tree import (
-    Attr, Comment, Document, Element, ProcessingInstruction, Text,
+    Attr, Comment, Document, Element, ProcessingInstruction, fresh_stamp,
+    parsed_element, parsed_text,
 )
 
 _PREDEFINED_ENTITIES = {
     "amp": "&", "lt": "<", "gt": ">", "apos": "'", "quot": '"',
 }
+
+#: A reference that needs no error path: a name, or ``&#`` decimal /
+#: ``&#x`` hex digits as XML 1.0 production [66] spells them.
+_REFERENCE_RE = re.compile(
+    r"&(?:#([0-9]+)|#x([0-9a-fA-F]+)|([A-Za-z_:][A-Za-z0-9_:.\-]*));"
+)
+#: Production [66] digits.  ``int()`` alone would also take signs,
+#: ``_``, surrounding spaces and non-ASCII digits.
+_DECIMAL_DIGITS_RE = re.compile("[0-9]+")
+_HEX_DIGITS_RE = re.compile("[0-9a-fA-F]+")
 
 #: Sentinel for "no limit" in the hot parse loops (plain ``float``
 #: comparison instead of a ``None`` test per character).
@@ -67,6 +86,62 @@ _ATTR_PLAIN_RE = {
 #: ``>`` is excluded only so the ``]]>`` prohibition check keeps seeing
 #: every ``>`` individually.
 _TEXT_PLAIN_RE = re.compile("[^<&>]+")
+
+#: Whitespace inside markup.  Line ends are normalized to ``\n``
+#: before parsing, so ``\r`` never reaches the scanner.
+_WS = r"[ \t\n]"
+
+#: A QName of ASCII name characters: at most one colon, with a name
+#: start character on each side of it.  Any other name -- non-ASCII,
+#: or malformed as a QName -- takes the per-character scanner.
+_ASCII_QNAME = r"[A-Za-z_][A-Za-z0-9_.\-]*(?::[A-Za-z_][A-Za-z0-9_.\-]*)?"
+
+#: A quoted attribute value that needs no expansion or normalization:
+#: no reference, ``<``, tab or newline between the quotes.
+_PLAIN_VALUE = r"\"[^\"<&\t\n]*\"|'[^'<&\t\n]*'"
+
+#: One such attribute: ``(name, quoted value)``.
+_ATTR_RE = re.compile(
+    rf"{_WS}+({_ASCII_QNAME}){_WS}*={_WS}*({_PLAIN_VALUE})"
+)
+
+#: A whole start tag of that shape, and when the element is a leaf
+#: of plain text, its text and end tag too: ``(qname, attribute list,
+#: "/" or None, leaf text or None)``.
+_START_TAG_RE = re.compile(
+    rf"<({_ASCII_QNAME})"
+    rf"((?:{_WS}+{_ASCII_QNAME}{_WS}*={_WS}*(?:{_PLAIN_VALUE}))*)"
+    rf"{_WS}*(?:(/)>|>(?:([^<&>]*)</\1>)?)"
+)
+
+#: The content markup other than tags and ``<?`` (a PI).
+_MISC_OPENERS = ("<!--", "<![CDATA[")
+
+
+#: The ASCII characters that are not XML 1.0 characters, as a
+#: ``bytes.translate`` table mapping each of them to 0.
+_ASCII_ILLEGAL_TABLE = bytes(
+    0 if code < 0x20 and code not in (0x9, 0xA, 0xD) else 1
+    for code in range(256)
+)
+
+
+def _first_illegal(source: str, start: int) -> int:
+    """Offset of the first non-XML character at or after *start*, or
+    ``len(source)``.  Input before it needs no per-run vetting."""
+    if source.isascii():
+        found = source.encode("ascii").translate(
+            _ASCII_ILLEGAL_TABLE).find(0, start)
+        return found if found >= 0 else len(source)
+    bad = _ILLEGAL_XML_RE.search(source, start)
+    return bad.start() if bad is not None else len(source)
+
+
+def _link(parent: Element, node) -> None:
+    """Attach a freshly parsed *node* (no ancestor re-stamping: the
+    element loop stamps each element when it closes)."""
+    node.parent = parent
+    parent.children.append(node)
 
 
 def _default_guard():
@@ -169,7 +244,8 @@ class Parser:
         if isinstance(source, bytes):
             source = self._decode(source)
         # Normalize line endings per XML 1.0 §2.11 before any processing.
-        source = source.replace("\r\n", "\n").replace("\r", "\n")
+        if "\r" in source:
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
         self._scanner = _Scanner(source)
 
     @staticmethod
@@ -261,13 +337,27 @@ class Parser:
     ) -> Element:
         """Parse one element and its whole subtree, iteratively.
 
-        Descent runs on an explicit ``stack`` of
-        ``(element, start-tag qname)`` pairs rather than Python
-        recursion, so arbitrarily deep input can never overflow the
-        interpreter stack: the depth quota is enforced by the guard
-        and everything beyond it is a typed error.
+        Descent runs on explicit stacks (open elements and their end
+        tags) rather than Python recursion, so arbitrarily deep input
+        can never overflow the interpreter stack: the depth quota is
+        enforced by the guard and everything beyond it is a typed
+        error.
+
+        Start tags (:data:`_START_TAG_RE`), end tags and text runs
+        (:data:`_TEXT_PLAIN_RE`) are taken as whole tokens.  Anything
+        else -- references, ``>`` in text, comments, PIs, CDATA,
+        non-ASCII names, attribute values that need normalization, a
+        mismatched end tag, a quota that could trip inside a tag,
+        input past the first illegal character -- goes to the
+        per-construct helper at the same offset, so every error and
+        every trip comes from the code that has always raised it.
+        Both kinds of start tag go through :meth:`_build_element`.
+        Children are linked without ``Element.append`` and each
+        element is stamped when it closes.
         """
         s = self._scanner
+        source = s.source
+        size = len(source)
         guard = self.guard
         limits = guard.limits
         max_depth = (limits.max_element_depth
@@ -281,149 +371,200 @@ class Parser:
             node_budget = limits.max_node_count - guard.node_count
         else:
             node_budget = _UNLIMITED
+        max_attrs = (limits.max_attributes_per_element
+                     if limits.max_attributes_per_element is not None
+                     else _UNLIMITED)
         nodes = 0
+        clean_until = _first_illegal(source, s.pos)
+        start_tag = _START_TAG_RE.match
+        attributes = _ATTR_RE.findall
+        text_run = _TEXT_PLAIN_RE.match
 
-        root, root_qname, self_closing = self._parse_start_tag(scope)
-        nodes = 1
-        if nodes > node_budget:
-            guard.charge_nodes(nodes)
-        if self_closing:
-            scope.pop()
-            guard.charge_nodes(nodes)
-            return root
-
-        stack: list[tuple[Element, str]] = [(root, root_qname)]
-        if len(stack) > max_depth:
-            guard.check_depth(len(stack))
-        current = root
+        open_elements: list[Element] = []
+        end_tags: list[str] = []
+        current = None  # the open element; None before the root
         text_parts: list[str] = []
         text_len = 0
+        pos = s.pos
 
-        while stack:
-            if s.eof():
-                raise s.error(
-                    f"unexpected end of input inside <{current.qname}>"
-                )
-            ch = s.source[s.pos]
-            if ch == "<":
-                if s.accept("</"):
+        while True:
+            if current is not None:
+                if pos >= size:
+                    raise s.error(
+                        f"unexpected end of input inside <{current.qname}>",
+                        pos,
+                    )
+                ch = source[pos]
+                if ch != "<":
+                    if ch == "&":
+                        s.pos = pos
+                        text_parts.append(self._read_reference())
+                        pos = s.pos
+                        text_len += 1
+                    elif ch == ">":
+                        # The ']]>' prohibition applies to the *expanded*
+                        # text of the current text node; entries in
+                        # text_parts are runs or single reference
+                        # expansions, so the last two characters may
+                        # straddle an entry boundary.
+                        last = text_parts[-1] if text_parts else ""
+                        if last.endswith("]") and (
+                            (len(last) >= 2 and last[-2] == "]")
+                            or (len(last) == 1 and len(text_parts) >= 2
+                                and text_parts[-2].endswith("]"))
+                        ):
+                            raise s.error(
+                                "']]>' is not allowed in character data",
+                                pos,
+                            )
+                        text_parts.append(">")
+                        text_len += 1
+                        pos += 1
+                    else:
+                        # A whole run of ordinary characters at once;
+                        # '>' stays out of runs so the ']]>' check
+                        # above sees each one.
+                        end = text_run(source, pos).end()
+                        if end > clean_until:
+                            bad = _ILLEGAL_XML_RE.search(source, pos, end)
+                            if bad is not None:
+                                s.pos = bad.start()
+                                self._check_char(source[s.pos])
+                        text_parts.append(source[pos:end])
+                        text_len += end - pos
+                        pos = end
+                    if text_len > max_text:
+                        guard.check_text_size(text_len)
+                    continue
+
+                mark = source[pos + 1:pos + 2]
+                if mark == "/":
                     if text_parts:
-                        current.append(Text("".join(text_parts)))
+                        parsed_text("".join(text_parts), current)
                         text_parts = []
                         text_len = 0
                         nodes += 1
                         if nodes > node_budget:
                             guard.charge_nodes(nodes)
-                    close_pos = s.pos
-                    end_name = s.read_name()
-                    open_qname = stack[-1][1]
-                    if end_name != open_qname:
-                        raise s.error(
-                            f"mismatched end tag </{end_name}> "
-                            f"for <{open_qname}>",
-                            close_pos,
-                        )
-                    s.skip_whitespace()
-                    s.expect(">")
-                    scope.pop()
-                    stack.pop()
-                    if stack:
-                        current = stack[-1][0]
-                elif s.accept("<!--"):
-                    if text_parts:
-                        current.append(Text("".join(text_parts)))
-                        text_parts = []
-                        text_len = 0
-                        nodes += 1
-                    current.append(Comment(self._finish_comment()))
-                    nodes += 1
-                    if nodes > node_budget:
-                        guard.charge_nodes(nodes)
-                elif s.accept("<![CDATA["):
-                    if text_parts:
-                        current.append(Text("".join(text_parts)))
-                        text_parts = []
-                        text_len = 0
-                        nodes += 1
-                    data = s.read_until("]]>", "CDATA section")
-                    if len(data) > max_text:
-                        guard.check_text_size(len(data))
-                    current.append(Text(data, is_cdata=True))
-                    nodes += 1
-                    if nodes > node_budget:
-                        guard.charge_nodes(nodes)
-                elif s.accept("<?"):
-                    if text_parts:
-                        current.append(Text("".join(text_parts)))
-                        text_parts = []
-                        text_len = 0
-                        nodes += 1
-                    current.append(self._finish_pi())
-                    nodes += 1
-                    if nodes > node_budget:
-                        guard.charge_nodes(nodes)
-                else:
-                    if text_parts:
-                        current.append(Text("".join(text_parts)))
-                        text_parts = []
-                        text_len = 0
-                        nodes += 1
-                    child, child_qname, child_closed = \
-                        self._parse_start_tag(scope)
-                    nodes += 1
-                    if nodes > node_budget:
-                        guard.charge_nodes(nodes)
-                    current.append(child)
-                    if child_closed:
-                        scope.pop()
+                    end_tag = end_tags.pop()
+                    if source.startswith(end_tag, pos):
+                        pos += len(end_tag)
                     else:
-                        stack.append((child, child_qname))
-                        if len(stack) > max_depth:
-                            guard.check_depth(len(stack))
-                        current = child
-            elif ch == "&":
-                text_parts.append(self._read_reference())
-                text_len += 1
-                if text_len > max_text:
-                    guard.check_text_size(text_len)
-            elif ch == ">":
-                # The ']]>' prohibition applies to the *expanded* text
-                # of the current text node; entries in text_parts are
-                # runs or single reference expansions, so the last two
-                # characters may straddle an entry boundary.
-                last = text_parts[-1] if text_parts else ""
-                if last.endswith("]") and (
-                    (len(last) >= 2 and last[-2] == "]")
-                    or (len(last) == 1 and len(text_parts) >= 2
-                        and text_parts[-2].endswith("]"))
-                ):
-                    raise s.error(
-                        "']]>' is not allowed in character data"
-                    )
-                text_parts.append(">")
-                text_len += 1
-                s.pos += 1
-                if text_len > max_text:
-                    guard.check_text_size(text_len)
-            else:
-                # A whole run of ordinary characters at once; '>' stays
-                # out of runs so the ']]>' check above sees each one.
-                run = _TEXT_PLAIN_RE.match(s.source, s.pos).group()
-                bad = _ILLEGAL_XML_RE.search(run)
-                if bad is not None:
-                    s.pos += bad.start()
-                    self._check_char(s.source[s.pos])
-                text_parts.append(run)
-                text_len += len(run)
-                s.pos += len(run)
-                if text_len > max_text:
-                    guard.check_text_size(text_len)
+                        open_qname = end_tag[2:-1]
+                        s.pos = pos + 2
+                        end_name = s.read_name()
+                        if end_name != open_qname:
+                            raise s.error(
+                                f"mismatched end tag </{end_name}> "
+                                f"for <{open_qname}>",
+                                pos + 2,
+                            )
+                        s.skip_whitespace()
+                        s.expect(">")
+                        pos = s.pos
+                    current.revision = fresh_stamp()
+                    scope.pop()
+                    open_elements.pop()
+                    if not open_elements:
+                        root = current
+                        break
+                    current = open_elements[-1]
+                    continue
+                if text_parts:
+                    parsed_text("".join(text_parts), current)
+                    text_parts = []
+                    text_len = 0
+                    nodes += 1
+                if mark == "?" or source.startswith(_MISC_OPENERS, pos):
+                    if mark == "?":
+                        s.pos = pos + 2
+                        _link(current, self._finish_pi())
+                    elif source.startswith("<!--", pos):
+                        s.pos = pos + 4
+                        _link(current, Comment(self._finish_comment()))
+                    else:
+                        s.pos = pos + 9
+                        data = s.read_until("]]>", "CDATA section")
+                        if len(data) > max_text:
+                            guard.check_text_size(len(data))
+                        parsed_text(data, current, True)
+                    pos = s.pos
+                    nodes += 1
+                    if nodes > node_budget:
+                        guard.charge_nodes(nodes)
+                    continue
 
+            # A start tag: the root's, or a child of the open element.
+            # One that matches _START_TAG_RE before the first illegal
+            # character is taken whole, with its text and end tag when
+            # it is a leaf of plain text, unless its attribute text or
+            # count could trip a quota inside it; any other is scanned
+            # a character at a time.
+            match = start_tag(source, pos)
+            element = None
+            if match is not None and match.end() <= clean_until:
+                attr_start, attr_end = match.span(2)
+                if attr_end - attr_start <= max_text:
+                    # No offsets (-1): they only place an error, and a
+                    # tag whose names raise is scanned again below.
+                    raw_attrs = [
+                        (name, quoted[1:-1], -1) for name, quoted
+                        in attributes(source, attr_start, attr_end)
+                    ]
+                    if len(raw_attrs) <= max_attrs:
+                        qname, slash, leaf_text = match.group(1, 3, 4)
+                        try:
+                            element = self._build_element(
+                                qname, raw_attrs, scope, -1, current)
+                        except XMLSyntaxError:
+                            pass  # raised again, and placed, below
+                        else:
+                            pos = match.end()
+                            self_closing = slash is not None
+            if element is None:
+                s.pos = pos
+                element, qname, self_closing = \
+                    self._parse_start_tag(scope, current)
+                pos = s.pos
+                leaf_text = None
+            nodes += 1
+            if nodes > node_budget:
+                guard.charge_nodes(nodes)
+            if self_closing:
+                element.revision = fresh_stamp()
+                scope.pop()
+            elif leaf_text is None:
+                open_elements.append(element)
+                end_tags.append(f"</{qname}>")
+                if len(open_elements) > max_depth:
+                    guard.check_depth(len(open_elements))
+                current = element
+                continue
+            else:
+                # A leaf: its text and end tag were matched too.
+                depth = len(open_elements) + 1
+                if depth > max_depth:
+                    guard.check_depth(depth)
+                if leaf_text:
+                    if len(leaf_text) > max_text:
+                        guard.check_text_size(len(leaf_text))
+                    parsed_text(leaf_text, element)
+                    nodes += 1
+                    if nodes > node_budget:
+                        guard.charge_nodes(nodes)
+                element.revision = fresh_stamp()
+                scope.pop()
+            if not open_elements:
+                root = element  # self-closing, or a leaf
+                break
+
+        s.pos = pos
         guard.charge_nodes(nodes)
         return root
 
     def _parse_start_tag(
-        self, scope: list[dict[str | None, str | None]]
+        self, scope: list[dict[str | None, str | None]],
+        parent: Element | None,
     ) -> tuple[Element, str, bool]:
         """Scan one start tag; returns ``(element, qname, self_closing)``.
 
@@ -465,15 +606,25 @@ class Parser:
             if len(raw_attrs) > max_attrs:
                 guard.check_attribute_count(len(raw_attrs))
 
-        element = self._build_element(qname, raw_attrs, scope, open_pos)
+        element = self._build_element(qname, raw_attrs, scope, open_pos,
+                                      parent)
         return element, qname, self_closing
 
     def _build_element(self, qname: str,
                        raw_attrs: list[tuple[str, str, int]],
                        scope: list[dict[str | None, str | None]],
-                       open_pos: int) -> Element:
+                       open_pos: int, parent: Element | None) -> Element:
+        """Apply the namespace rules to a start tag and build its element.
+
+        *raw_attrs* are the tag's ``(name, value, offset)`` triples in
+        document order; the offsets and *open_pos* (the tag name's)
+        only place an error.  Links the element to *parent* (``None``
+        for the root) and, once every check has passed, pushes its
+        in-scope bindings onto *scope*: the parent's own dict when the
+        tag declares nothing.
+        """
         s = self._scanner
-        bindings: dict[str | None, str | None] = dict(scope[-1])
+        bindings = inherited = scope[-1]
         declared: dict[str | None, str] = {}
         plain: list[tuple[str, str, int]] = []
         seen_raw: set[str] = set()
@@ -482,8 +633,8 @@ class Parser:
                 raise s.error(f"duplicate attribute {name!r}", pos)
             seen_raw.add(name)
             if name == "xmlns":
-                declared[None] = value
-                bindings[None] = value or None
+                prefix = None
+                uri = value or None
             elif name.startswith("xmlns:"):
                 prefix = name[6:]
                 if prefix == "xmlns" or (prefix == "xml" and value != XML_NS):
@@ -492,34 +643,41 @@ class Parser:
                     raise s.error(
                         f"cannot undeclare prefix {prefix!r} in XML 1.0", pos
                     )
-                declared[prefix] = value
-                bindings[prefix] = value
+                uri = value
             else:
                 plain.append((name, value, pos))
-        scope.append(bindings)
+                continue
+            if bindings is inherited:
+                bindings = dict(inherited)
+            declared[prefix] = value
+            bindings[prefix] = uri
 
-        try:
-            prefix, local = split_qname(qname)
-        except NamespaceError as exc:
-            raise s.error(str(exc), open_pos) from None
-        ns_uri = bindings.get(prefix) if prefix else bindings.get(None)
-        if prefix and ns_uri is None:
-            raise s.error(f"undeclared prefix {prefix!r}", open_pos)
+        if ":" in qname:
+            try:
+                prefix, local = split_qname(qname)
+            except NamespaceError as exc:
+                raise s.error(str(exc), open_pos) from None
+            ns_uri = bindings.get(prefix)
+            if ns_uri is None:
+                raise s.error(f"undeclared prefix {prefix!r}", open_pos)
+        else:
+            prefix, local, ns_uri = None, qname, bindings.get(None)
 
-        element = Element(local, ns_uri, prefix)
-        element.ns_decls = declared
-
-        seen_expanded: set[tuple[str | None, str]] = set()
+        element = parsed_element(local, ns_uri, prefix, parent, declared)
+        # An unprefixed name is its own expanded name, and repeated raw
+        # names were refused above: only prefixed names can clash.
+        seen_expanded: set[tuple[str, str]] = set()
         for name, value, pos in plain:
+            if ":" not in name:
+                element.attrs.append(Attr(name, value))
+                continue
             try:
                 a_prefix, a_local = split_qname(name)
             except NamespaceError as exc:
                 raise s.error(str(exc), pos) from None
-            a_uri = None
-            if a_prefix is not None:
-                a_uri = bindings.get(a_prefix)
-                if a_uri is None:
-                    raise s.error(f"undeclared prefix {a_prefix!r}", pos)
+            a_uri = bindings.get(a_prefix)
+            if a_uri is None:
+                raise s.error(f"undeclared prefix {a_prefix!r}", pos)
             key = (a_uri, a_local)
             if key in seen_expanded:
                 raise s.error(
@@ -527,6 +685,7 @@ class Parser:
                 )
             seen_expanded.add(key)
             element.attrs.append(Attr(a_local, value, a_prefix, a_uri))
+        scope.append(bindings)
         return element
 
     # -- attribute values -----------------------------------------------------------
@@ -538,7 +697,7 @@ class Parser:
                     if self.guard.limits.max_text_bytes is not None
                     else _UNLIMITED)
         quote = s.advance()
-        if quote not in "'\"":
+        if quote not in ("'", '"'):  # end of input included
             raise s.error("attribute value must be quoted", s.pos - 1)
         plain = _ATTR_PLAIN_RE[quote]
         parts: list[str] = []
@@ -583,18 +742,36 @@ class Parser:
     def _read_reference(self) -> str:
         s = self._scanner
         start = s.pos
+        match = _REFERENCE_RE.match(s.source, start)
+        if match is not None:
+            decimal, hexadecimal, name = match.groups()
+            if name is not None:
+                value = _PREDEFINED_ENTITIES.get(name)
+            elif decimal is not None and len(decimal) > 7:
+                value = None  # leading zeros, or out of range
+            else:
+                code = int(decimal) if decimal is not None \
+                    else int(hexadecimal, 16)
+                value = chr(code) if code <= 0x10FFFF else None
+                if value is not None and not is_xml_char(value):
+                    value = None
+            if value is not None:
+                s.pos = match.end()
+                return value
+        # Everything else is an error; report it as it always was.
         s.expect("&")
-        if s.accept("#x") or s.accept("#X"):
+        if s.accept("#x"):
             digits = s.read_until(";", "character reference")
-            try:
-                code = int(digits, 16)
-            except ValueError:
+            if _HEX_DIGITS_RE.fullmatch(digits) is None:
                 raise s.error(f"bad hex character reference &#x{digits};", start)
+            code = int(digits, 16)
         elif s.accept("#"):
             digits = s.read_until(";", "character reference")
             try:
+                if _DECIMAL_DIGITS_RE.fullmatch(digits) is None:
+                    raise ValueError(digits)
                 code = int(digits, 10)
-            except ValueError:
+            except ValueError:  # also past int()'s digit-count limit
                 raise s.error(f"bad character reference &#{digits};", start)
         else:
             name = s.read_name()

@@ -29,6 +29,13 @@ _ID_ATTRIBUTE_NAMES = ("Id", "ID", "id")
 # the tree gives the root (and the mutated path) a fresh stamp.
 _mutation_stamps = itertools.count(1)
 
+#: A fresh stamp.  The parser builds a tree without ``append`` (whose
+#: walk to the root costs each node its depth) and stamps each element
+#: when it closes, so a finished tree still satisfies the invariant:
+#: every node's stamp is newer than any earlier state of it, and no
+#: descendant's stamp is newer than its ancestors'.
+fresh_stamp = _mutation_stamps.__next__
+
 
 class Node:
     """Base class for all tree nodes.
@@ -160,8 +167,7 @@ class Element(Node):
     def __init__(self, local: str, ns_uri: str | None = None,
                  prefix: str | None = None):
         super().__init__()
-        if not is_valid_name(local) or ":" in local:
-            raise XMLError(f"invalid element local name {local!r}")
+        _check_local_name(local)
         self.local = local
         self.prefix = prefix
         self.ns_uri = ns_uri
@@ -534,6 +540,60 @@ class Document(Node):
             return f"<Document root={self.root.qname}>"
         except XMLError:
             return "<Document (empty)>"
+
+
+def _check_local_name(local: str) -> None:
+    if not is_valid_name(local) or ":" in local:
+        raise XMLError(f"invalid element local name {local!r}")
+
+
+# -- the parser's node factories ---------------------------------------------
+#
+# The parser builds nodes through these instead of the constructors:
+# its scanner has already read the name, the node is linked to
+# *parent* without ``append``'s walk to the root, and an element gets
+# its final stamp from the parser when it closes (see
+# :data:`fresh_stamp`).  Text never changes after creation, so its
+# creation stamp is final.
+
+_new_node = object.__new__
+
+
+def parsed_element(local: str, ns_uri: str | None, prefix: str | None,
+                   parent: "Element | None",
+                   ns_decls: dict[str | None, str]) -> Element:
+    """An element as parsed, linked to *parent* (``None`` for a root).
+
+    The scanner read the whole QName as an XML Name, so only the local
+    part after a prefix can still be malformed (``a:1b``); it gets the
+    constructor's check.
+    """
+    if prefix is not None:
+        _check_local_name(local)
+    node = _new_node(Element)
+    node.parent = parent
+    node.revision = fresh_stamp()
+    node.local = local
+    node.prefix = prefix
+    node.ns_uri = ns_uri
+    node.attrs = []
+    node.ns_decls = ns_decls
+    node.children = []
+    if parent is not None:
+        parent.children.append(node)
+    return node
+
+
+def parsed_text(data: str, parent: "Element",
+                is_cdata: bool = False) -> Text:
+    """A text child of *parent*, as parsed."""
+    node = _new_node(Text)
+    node.parent = parent
+    node.revision = fresh_stamp()
+    node._data = data
+    node.is_cdata = is_cdata
+    parent.children.append(node)
+    return node
 
 
 def element(qname: str, ns_uri: str | None = None, *,

@@ -124,3 +124,65 @@ def test_explicit_worker_count_respected(signer, verifier, cluster):
     outcome = BatchVerifier(verifier, max_workers=2).verify_all(cluster)
     assert outcome.workers == 2
     assert outcome.all_valid
+
+
+def guard_manifest(signer):
+    """The ABL-GUARD shape: eight signed sub-markups and a script."""
+    from repro.disc import ApplicationManifest
+
+    ns = 'xmlns="urn:bda:bdmv:interactive-cluster"'
+    manifest = ApplicationManifest("abl-guard")
+    manifest.add_submarkup("layout", parse_element(
+        f'<layout {ns}><root-layout width="1920" height="1080"/>'
+        '<region regionName="main" width="1920" height="880"/>'
+        '<region regionName="menu" top="880" width="1920" height="200"/>'
+        "</layout>"))
+    manifest.add_submarkup("timing", parse_element(
+        f'<seq {ns}><video src="bd://BDMV/STREAM/00001.m2ts" '
+        'region="main" dur="90s"/><par><video '
+        'src="bd://BDMV/STREAM/00002.m2ts" region="main" dur="30s"/>'
+        '<img src="bd://BDMV/AUXDATA/banner.png" region="menu" '
+        'begin="2s" dur="8s"/></par></seq>'))
+    for extra in range(6):
+        manifest.add_submarkup(f"aux-{extra}", parse_element(
+            f'<aux {ns} n="{extra}"><item v="1"/><item v="2"/></aux>'))
+    manifest.add_script("var state = 0;\n"
+                        + "state = state + 1; // tick\n" * 120)
+    root = manifest.to_element()
+    for target in root.iter("submarkup"):
+        signer.sign_detached(f"#{target.get('Id')}", parent=root)
+    return root
+
+
+@pytest.mark.parametrize("quota", [600, 1500, None])
+def test_batch_meters_the_digests_it_warms(pki, trust_store, signer,
+                                           quota):
+    """The dedup pass charges the verifier's guard for every digest it
+    makes, in document order, so the batch path trips the c14n-output
+    quota on the same references as the sequential path and meters
+    the same octets."""
+    from repro.resilience import ResourceGuard, ResourceLimits
+
+    root = guard_manifest(signer)
+    outcomes = {}
+    for batch in (False, True):
+        seen = set()
+        for _ in range(20):
+            guard = ResourceGuard(ResourceLimits(
+                max_c14n_output_bytes=quota))
+            verifier = Verifier(trust_store=trust_store,
+                                require_trusted_key=True,
+                                cache=C14NDigestCache(), guard=guard)
+            reports = verify_signatures(root, verifier, batch=batch)
+            seen.add((tuple(sorted((uri, report.valid)
+                                   for uri, report in reports.items())),
+                      guard.c14n_output_bytes))
+        assert len(seen) == 1
+        outcomes[batch] = seen.pop()
+    assert outcomes[True] == outcomes[False]
+    verdicts, metered = outcomes[True]
+    assert len(verdicts) == 8
+    assert metered > 0
+    if quota is not None:
+        assert metered <= quota
+        assert sum(valid for _, valid in verdicts) < 8

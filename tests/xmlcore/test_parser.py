@@ -199,3 +199,31 @@ def test_xmlns_prefix_rebinding_rejected():
         parse_element('<r xmlns:xmlns="urn:evil"/>')
     with pytest.raises(XMLSyntaxError):
         parse_element('<r xmlns:xml="urn:evil"/>')
+
+
+#: Character references a lenient reader takes but XML 1.0 production
+#: [66] does not: only ``[0-9]+`` after ``&#`` and ``[0-9a-fA-F]+``
+#: after a lower-case ``&#x``.  Each one spells ``A`` to such a reader.
+MALFORMED_CHARREFS = ("&#x4_1;", "&#+65;", "&#x 41;", "&#65 ;", "&#٦٥;",
+                      "&#X41;")
+
+
+@pytest.mark.parametrize("ref", MALFORMED_CHARREFS)
+def test_malformed_character_reference_in_text_rejected(ref):
+    with pytest.raises(XMLSyntaxError, match="bad (hex )?character "
+                       "reference") as excinfo:
+        parse_element(f"<r>x{ref}</r>")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
+
+
+@pytest.mark.parametrize("ref", MALFORMED_CHARREFS)
+def test_malformed_character_reference_in_attribute_rejected(ref):
+    with pytest.raises(XMLSyntaxError, match="bad (hex )?character "
+                       "reference") as excinfo:
+        parse_element(f"<r a='x{ref}'/>")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 8)
+
+
+def test_attribute_value_missing_at_end_of_input_is_a_syntax_error():
+    with pytest.raises(XMLSyntaxError, match="must be quoted"):
+        parse_element("<r a=")

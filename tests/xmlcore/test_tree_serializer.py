@@ -152,3 +152,56 @@ def test_cdata_preserved_by_serializer():
 def test_text_content_concatenation():
     root = parse_element("<r>a<b>b</b>c<d><e>d</e></d></r>")
     assert root.text_content() == "abcd"
+
+
+# -- revision stamps of a parsed tree ----------------------------------------
+
+STAMPED = (
+    '<?pi x?><root xmlns="urn:x" xmlns:p="urn:p"><!--c--><a Id="a" p:k="v">'
+    "<b>leaf</b><c/>t&amp;u<d><![CDATA[raw]]><?q?></d></a>"
+    "<é>non-ascii</é><f a=\"x&#10;y\">\n</f></root><!--after-->"
+)
+
+
+def _walk(node):
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _walk(child)
+
+
+def test_parsed_nodes_carry_fresh_stamps_ordered_to_the_root():
+    """The parser links children without ``append`` and stamps each
+    element when it closes: every node's stamp is newer than anything
+    before the parse, and no node's stamp is newer than its parent's,
+    as if each had been appended through the tree API."""
+    from repro.xmlcore import parse_document
+    from repro.xmlcore.tree import fresh_stamp
+
+    before = fresh_stamp()
+    document = parse_document(STAMPED)
+    nodes = list(_walk(document))
+    assert len(nodes) == 17
+    for node in nodes:
+        assert node.revision > before
+        if node.parent is not None:
+            assert node.revision <= node.parent.revision
+    for element in document.root.iter():
+        for child in element.children:
+            if isinstance(child, Element):
+                # Closed (and stamped) after everything inside it.
+                assert all(n.revision <= child.revision
+                           for n in _walk(child))
+
+
+def test_mutating_a_parsed_tree_restamps_the_path_to_the_root():
+    from repro.xmlcore import parse_document
+
+    document = parse_document(STAMPED)
+    leaf = document.root.find("b").children[0]
+    path = [leaf, leaf.parent, leaf.parent.parent, document.root, document]
+    newest = max(n.revision for n in _walk(document))
+    sibling = document.root.find("c")
+    sibling_stamp = sibling.revision
+    leaf.data = "changed"
+    assert all(node.revision > newest for node in path)
+    assert sibling.revision == sibling_stamp
