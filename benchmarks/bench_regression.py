@@ -1,10 +1,12 @@
 """Benchmark-regression gate for CI.
 
 Runs a small, deterministic subset of the ABL benchmarks, writes the
-results to a JSON artifact (``BENCH_PR18.json`` by default) and fails —
+results to a JSON artifact (``BENCH_PR19.json`` by default) and fails —
 exit status 1 — when any tracked metric regresses more than the
 threshold (20% by default) against the committed
-``benchmarks/baseline.json``.
+``benchmarks/baseline.json``.  After the drift table it prints the
+trajectory of every gated metric over the ``BENCH_PR<N>.json``
+artifacts committed at the repository root, in PR order.
 
 Robustness against machine-speed differences between the committing
 machine and the CI runner: every absolute timing is divided by a
@@ -19,7 +21,7 @@ normalization at all.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_regression.py \
-        --output BENCH_PR18.json
+        --output BENCH_PR19.json
     PYTHONPATH=src python benchmarks/bench_regression.py \
         --update-baseline        # refresh benchmarks/baseline.json
 """
@@ -27,9 +29,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -48,6 +52,7 @@ BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
     "baseline.json",
 )
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: metric name -> which direction counts as a regression.
 DIRECTIONS = {
@@ -483,11 +488,42 @@ def write_summary(handle, results: dict, baseline: dict,
     handle.write("\n")
 
 
+def trajectory_paths(directory: str) -> list[str]:
+    """The ``BENCH_PR<N>.json`` files in *directory*, in PR order."""
+    found = []
+    for name in os.listdir(directory):
+        match = re.fullmatch(r"BENCH_PR(\d+)\.json", name)
+        if match:
+            found.append((int(match.group(1)), name))
+    return [os.path.join(directory, name) for _, name in sorted(found)]
+
+
+def write_trajectory(handle, paths: list[str]) -> None:
+    """Write a markdown table: one row per gated metric, one column
+    per artifact in *paths* (``—`` where an artifact lacks it)."""
+    labels, columns = [], []
+    for path in paths:
+        name = os.path.basename(path)
+        labels.append(name.removeprefix("BENCH_").removesuffix(".json"))
+        with open(path) as handle_in:
+            columns.append(json.load(handle_in).get("metrics", {}))
+    handle.write("## Benchmark trajectory\n\n")
+    handle.write("| metric | " + " | ".join(labels) + " |\n")
+    handle.write("|---|" + "---:|" * len(labels) + "\n")
+    for name in sorted(DIRECTIONS):
+        cells = [
+            f"{column[name]:.4f}" if name in column else "—"
+            for column in columns
+        ]
+        handle.write(f"| {name} | " + " | ".join(cells) + " |\n")
+    handle.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default="BENCH_PR18.json",
+        default="BENCH_PR19.json",
         help="result artifact path",
     )
     parser.add_argument(
@@ -542,11 +578,15 @@ def main(argv=None) -> int:
     with open(args.baseline) as handle:
         baseline = json.load(handle)
 
+    trajectory = io.StringIO()
+    write_trajectory(trajectory, trajectory_paths(REPO_ROOT))
     summary_path = args.summary or os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as handle:
             write_summary(handle, results, baseline, args.threshold)
-        print(f"drift table appended to {summary_path}")
+            handle.write(trajectory.getvalue())
+        print(f"drift and trajectory tables appended to {summary_path}")
+    print(trajectory.getvalue(), end="")
 
     problems = compare(
         results["metrics"],

@@ -124,12 +124,12 @@ def test_ablgran_verify_series(world, benchmark):
 
 
 def test_ablgran_batch_vs_sequential(world, benchmark):
-    """Batch engine + warm cache vs the sequential path at 8/8.
+    """The verify loop with a warm cache vs without a cache at 8/8.
 
-    The PR's acceptance criterion: ≥ 3× faster once the cache is warm
-    — every reference digest, certificate-chain validation and
-    SignedInfo signature check is served from the revision-stamped
-    cache, leaving only parse/dispatch work.
+    Acceptance: ≥ 3× faster once the cache is warm — every reference
+    digest, certificate-chain validation and SignedInfo signature
+    check is served from the revision-stamped cache, leaving only
+    parse/dispatch work.
     """
     signer = Signer(world.studio.key, identity=world.studio)
     root = _signed_manifest(signer, TOTAL_SUBMARKUPS)

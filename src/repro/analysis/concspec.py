@@ -7,9 +7,11 @@ multiply the in-flight contexts.  This catalog is the machine-readable
 form of the repo's concurrency model:
 
 * **Roots** are entry points that execute concurrently: callables
-  handed to ``ThreadPoolExecutor``/``ProcessPoolExecutor`` submits
-  (the BatchVerifier worker paths), ``async def`` bodies, and the
-  chaos-harness drivers that interleave whole pipelines.
+  handed to ``ThreadPoolExecutor``/``ProcessPoolExecutor`` submits or
+  ``Thread(target=...)``, ``async def`` bodies, and the chaos-harness
+  drivers that interleave whole pipelines.  Batch verify runs on its
+  caller's thread, but callers' threads may share verifiers and the
+  process-wide digest cache, so those stay on the shared surface.
 * **The shared surface** is the explicit allowlist of modules/classes
   whose instances are expected to be visible from more than one
   execution context at once (the RacerD ``@ThreadSafe`` analogue).

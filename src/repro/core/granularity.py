@@ -20,8 +20,9 @@ from enum import Enum
 from repro.errors import SignatureError
 from repro.dsig.signer import Signer
 from repro.dsig.verifier import VerificationReport, Verifier
+from repro.perf.batch import BatchVerifier
 from repro.primitives.keys import SymmetricKey
-from repro.xmlcore import DISC_NS, DSIG_NS, XMLENC_NS
+from repro.xmlcore import DISC_NS, XMLENC_NS
 from repro.xmlcore.tree import Element
 from repro.xmlenc.encryptor import Encryptor
 
@@ -109,36 +110,19 @@ def sign_at_level(cluster_root: Element, level: ProtectionLevel,
 
 
 def verify_signatures(cluster_root: Element, verifier: Verifier, *,
-                      decryptor=None, batch: bool = False
-                      ) -> dict[str, VerificationReport]:
+                      decryptor=None) -> dict[str, VerificationReport]:
     """Verify every ds:Signature directly under *cluster_root*.
 
-    Returns a map from the signature's first reference URI to its
-    report (``""`` for whole-document signatures).
-
-    With ``batch=True`` the signatures go through the
-    :class:`repro.perf.BatchVerifier`: shared subtree digests are
-    deduplicated into the verifier's cache and the signatures are
-    checked across a worker pool.  The verdicts are identical to the
-    sequential path.
+    Returns the ``reports`` of one
+    :meth:`repro.perf.BatchVerifier.verify_all` pass: a map from each
+    signature's first reference URI to its report (``""`` for
+    whole-document signatures).  The signatures are checked in
+    document order, each against its whole document, and an invalid
+    report is never replaced by a later one under the same URI.
     """
-    if batch:
-        from repro.perf.batch import BatchVerifier
-        outcome = BatchVerifier(verifier).verify_all(
-            cluster_root, decryptor=decryptor,
-        )
-        return outcome.reports
-    reports: dict[str, VerificationReport] = {}
-    for child in list(cluster_root.child_elements()):
-        if child.local != "Signature" or child.ns_uri != DSIG_NS:
-            continue
-        report = verifier.verify(child, decryptor=decryptor)
-        uri = ""
-        reference = child.find("Reference", DSIG_NS)
-        if reference is not None:
-            uri = reference.get("URI") or ""
-        reports[uri] = report
-    return reports
+    return BatchVerifier(verifier).verify_all(
+        cluster_root, decryptor=decryptor,
+    ).reports
 
 
 def encrypt_at_level(cluster_root: Element, level: ProtectionLevel,

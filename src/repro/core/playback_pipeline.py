@@ -199,7 +199,7 @@ class PlaybackPipeline:
                     raise ApplicationRejectedError(
                         "signature verification failed; application "
                         "barred: " + "; ".join(
-                            [report.error] if report.error else []
+                            ([report.error] if report.error else [])
                             + [r.error for r in report.references
                                if not r.valid]
                         )

@@ -101,23 +101,41 @@ class DiscAuthor:
     # -- mastering ------------------------------------------------------------------
 
     def master(self) -> DiscImage:
-        """Produce the disc image and validate its structure."""
-        image = DiscImage(layout=self.disc_format)
-        image.write(
-            self.disc_format.cluster_path(),
-            serialize_bytes(self._cluster.to_element()),
-        )
-        for clip_id, stream in self._streams.items():
-            image.write(self.disc_format.stream_path(clip_id), stream)
-            image.write(
-                self.disc_format.clipinfo_path(clip_id),
-                self._clip_infos[clip_id].to_xml().encode("utf-8"),
-            )
-        for path, data in self._aux.items():
-            image.write(path, data)
-        problems = image.validate_structure()
+        """Produce the disc image and validate its structure.
+
+        The checks run on the authored cluster, not on a parse of its
+        serialization: every clip it references needs a stream and a
+        clip-info file, and no auxiliary file may overwrite the
+        cluster, a stream or a clip-info file.
+        """
+        layout = self.disc_format
+        problems: list[str] = []
+        for ref in self._cluster.clip_refs():
+            if ref not in self._streams:
+                problems.append(f"clip {ref}: missing stream file")
+            if ref not in self._clip_infos:
+                problems.append(f"clip {ref}: missing clip info")
+        reserved = {layout.cluster_path()}
+        for clip_id in self._streams:
+            reserved.add(layout.stream_path(clip_id))
+            reserved.add(layout.clipinfo_path(clip_id))
+        problems += [f"aux file {path} would overwrite authored content"
+                     for path in self._aux if path in reserved]
         if problems:
             raise AuthoringError(
                 "mastered image is inconsistent: " + "; ".join(problems)
             )
+        image = DiscImage(layout=layout)
+        image.write(
+            layout.cluster_path(),
+            serialize_bytes(self._cluster.to_element()),
+        )
+        for clip_id, stream in self._streams.items():
+            image.write(layout.stream_path(clip_id), stream)
+            image.write(
+                layout.clipinfo_path(clip_id),
+                self._clip_infos[clip_id].to_xml().encode("utf-8"),
+            )
+        for path, data in self._aux.items():
+            image.write(path, data)
         return image

@@ -121,9 +121,9 @@ class Verifier:
         self.resolver = resolver
         self.key_locator = key_locator
         self._provider = provider
-        # One verifier serves every BatchVerifier worker; a late-bound
-        # provider swap must be atomic and each verification must run
-        # against a single snapshot (never half old, half new provider).
+        # Threads may share one verifier; a late-bound provider swap
+        # must be atomic and each verification must run against a
+        # single snapshot (never half old, half new provider).
         self._provider_lock = threading.Lock()
         # Defence against reference-flood DoS in hostile downloads: a
         # signature naming thousands of references would otherwise make

@@ -8,9 +8,9 @@ Three layers, from passive to active:
 * :mod:`repro.perf.cache` — a content-addressed C14N/digest cache with
   revision-based invalidation (a cached digest can never validate a
   tampered subtree);
-* :mod:`repro.perf.batch` — a batch verification engine that collects
-  all signatures under a root, deduplicates shared subtree digests and
-  fans verification out over a worker pool.
+* :mod:`repro.perf.batch` — the one loop that verifies every signature
+  under a root, in document order on the calling thread; the cache
+  makes a second signature over a subtree a digest hit.
 """
 
 from repro.perf import metrics

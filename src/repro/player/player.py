@@ -142,10 +142,12 @@ class DiscPlayer:
     def insert_disc(self, image: DiscImage) -> DiscSession:
         """Load a disc and authenticate it (verify cluster signatures).
 
-        Signature verification runs through the batch engine: shared
-        subtree digests across the cluster's signatures are
-        deduplicated into the C14N/digest cache, which later selective
-        per-track checks at playback time then hit.
+        Every signature under the cluster root is verified in document
+        order against the whole cluster document
+        (:func:`verify_signatures`).  The disc is authenticated only
+        if every one is valid, whatever their order; the digests land
+        in the C14N/digest cache, which later selective per-track
+        checks at playback time then hit.
         """
         from repro.perf import metrics
         with metrics.timer("player.insert_disc"):
@@ -164,7 +166,6 @@ class DiscPlayer:
         )
         reports = verify_signatures(
             cluster_element, verifier, decryptor=self.pipeline._decryptor(),
-            batch=True,
         )
         authenticated = bool(reports) and all(
             report.valid for report in reports.values()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.disc import (
     ApplicationManifest, CLUSTER_PATH, DiscAuthor, DiscImage,
-    TS_PACKET_SIZE, generate_transport_stream, inspect_transport_stream,
-    path_to_uri, stream_path, uri_to_path,
+    TS_PACKET_SIZE, clipinfo_path, generate_transport_stream,
+    inspect_transport_stream, path_to_uri, stream_path, uri_to_path,
 )
 from repro.errors import AuthoringError, DiscError, DiscFormatError
 from repro.xmlcore import parse_element
@@ -102,6 +102,33 @@ def test_authoring_rejects_bad_clip(rng):
     author = DiscAuthor("X", rng=rng)
     with pytest.raises(AuthoringError):
         author.add_clip(0.0)
+
+
+@pytest.mark.parametrize("target", ["cluster", "stream", "clip info"])
+def test_aux_file_may_not_overwrite_authored_content(rng, target):
+    path = {"cluster": CLUSTER_PATH,
+            "stream": stream_path("00001"),
+            "clip info": clipinfo_path("00001")}[target]
+    author = _author(rng)
+    author.add_aux_file(path, b"<not-a-cluster/>")
+    with pytest.raises(AuthoringError,
+                       match=f"aux file {path} would overwrite"):
+        author.master()
+
+
+def test_master_names_clips_without_stream_or_clip_info(rng):
+    # A playlist naming a clip this author never added.
+    other = DiscAuthor("Other", rng=rng)
+    other.add_clip(1.0)
+    stranger = other.add_clip(1.0)
+    author = _author(rng)
+    author.add_feature("bonus", [stranger])
+    with pytest.raises(AuthoringError) as caught:
+        author.master()
+    assert str(caught.value) == (
+        "mastered image is inconsistent: "
+        "clip 00002: missing stream file; clip 00002: missing clip info"
+    )
 
 
 def test_structure_validation_finds_missing_stream(rng):

@@ -244,7 +244,11 @@ def test_tampered_package_still_barred_even_when_xkms_down(trust_store,
         trust_store=trust_store,
         key_locator=XKMSClient(dead_transport).locate,
     )
-    with pytest.raises(ApplicationRejectedError):
+    # The bar names the digest mismatch that caused it, next to the
+    # signature-level error from the unreachable trust service.
+    with pytest.raises(ApplicationRejectedError,
+                       match="(?s)'studio-signing-key' could not be "
+                             "located.*digest mismatch"):
         pipeline.open_package(tampered)
 
 

@@ -243,6 +243,34 @@ def test_stream_tampering_breaks_disc_authentication(pki, trust_store,
     assert not player.insert_disc(tampered).authenticated
 
 
+@pytest.mark.parametrize("order", ["rogue-first", "rogue-last"])
+def test_rogue_signature_over_a_signed_track_bars_authentication(
+        pki, trust_store, rng, order):
+    """An untrusted signer's signature over a track the studio also
+    signed leaves the disc unauthenticated, wherever it sits."""
+    from repro.xmlcore import parse_element, serialize_bytes
+
+    image = build_disc(pki, rng, sign=False)
+    rogue = Signer(pki.attacker.key, identity=pki.attacker)
+    studio = Signer(pki.studio.key, identity=pki.studio)
+    path = image.cluster_path()
+
+    def add_rogue_signature():
+        cluster = parse_element(image.read(path))
+        track = next(cluster.iter("track"))
+        rogue.sign_detached(f"#{track.get('Id')}", parent=cluster)
+        image.write(path, serialize_bytes(cluster))
+
+    if order == "rogue-first":
+        add_rogue_signature()
+        sign_disc_image(image, studio, level=ProtectionLevel.TRACK)
+    else:
+        sign_disc_image(image, studio, level=ProtectionLevel.TRACK)
+        add_rogue_signature()
+    session = DiscPlayer(trust_store).insert_disc(image)
+    assert not session.authenticated
+
+
 def test_structurally_broken_disc_rejected(pki, trust_store, rng):
     from repro.disc import DiscImage
     image = build_disc(pki, rng)

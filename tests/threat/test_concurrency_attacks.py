@@ -90,7 +90,7 @@ def test_batch_verify_hammer_with_live_mutations(pki, seed):
     rng = random.Random(seed)
 
     def verify_worker():
-        batch = BatchVerifier(verifier, max_workers=2)
+        batch = BatchVerifier(verifier)
         for _ in range(rounds):
             outcome = batch.verify_all(cluster)
             assert set(outcome.reports) == set(sequential)
