@@ -41,7 +41,7 @@ def test_fig11_layer_verify(world, package, benchmark):
     view = parse_package(root)
     verifier = Verifier(trust_store=world.trust_store,
                         require_trusted_key=True)
-    decryptor = Decryptor(rsa_keys=[world.device_key])
+    decryptor = Decryptor(rsa_key=world.device_key)
     result = benchmark(
         lambda: verifier.verify(view.signature_element,
                                 decryptor=decryptor)
@@ -50,7 +50,7 @@ def test_fig11_layer_verify(world, package, benchmark):
 
 
 def test_fig11_layer_decrypt(world, package, benchmark):
-    decryptor = Decryptor(rsa_keys=[world.device_key])
+    decryptor = Decryptor(rsa_key=world.device_key)
 
     def run():
         root = parse_element(package.data)
@@ -81,7 +81,7 @@ def test_fig11_layer_breakdown(world, package, benchmark):
             lambda: parse_element(package.data)
         )
         view = parse_package(root)
-        decryptor = Decryptor(rsa_keys=[world.device_key])
+        decryptor = Decryptor(rsa_key=world.device_key)
         layers["verifier (XMLDSig)"], outcome = timed(
             lambda: verifier.verify(view.signature_element,
                                     decryptor=decryptor)

@@ -121,12 +121,8 @@ class PlaybackPipeline:
         return locate
 
     def _decryptor(self, guard: ResourceGuard | None = None) -> Decryptor:
-        decryptor = Decryptor(provider=self.provider, guard=guard)
-        for name, key in self.key_slots.items():
-            decryptor.add_key(name, key)
-        if self.device_key is not None:
-            decryptor.add_rsa_key(self.device_key)
-        return decryptor
+        return Decryptor(keys=self.key_slots, rsa_key=self.device_key,
+                         provider=self.provider, guard=guard)
 
     def open_package(self, data: bytes | str) -> VerifiedApplication:
         """Verify and unlock a package; raises if the player must bar it.

@@ -30,7 +30,6 @@ from repro.errors import ChannelSecurityError
 from repro.certs.authority import SigningIdentity
 from repro.certs.certificate import Certificate
 from repro.certs.store import TrustStore
-from repro.primitives import rsa
 from repro.primitives.hmac import constant_time_equal
 from repro.primitives.padding import pkcs7_pad, pkcs7_unpad
 from repro.primitives.provider import CryptoProvider, get_provider
@@ -244,14 +243,20 @@ def _handshake(client: SecureClient, server: SecureServer):
 
     # 4. Key exchange ---------------------------------------------------------------
     premaster = client.rng.read(_PREMASTER)
-    encrypted = rsa.encrypt(server_certificate.public_key, premaster,
-                            client.rng)
+    encrypted = provider.rsa_encrypt(server_certificate.public_key,
+                                     premaster, client.rng)
     m3 = _frame(MSG_KEY_EXCHANGE, encrypted)
     transcript_client.append(m3)
     m3_wire = yield True, m3
     transcript_server.append(m3_wire)
+    # Implicit rejection: a premaster with bad padding decrypts to a
+    # synthetic one, so the server derives keys the client does not
+    # hold and the tampering shows only as the Finished failure below
+    # (RFC 5246 §7.4.7.1).  Only the framing and the public checks
+    # (length, value below n) fail here.  The premaster's length is
+    # not checked either: that check would be an oracle of its own.
     try:
-        server_premaster = rsa.decrypt(
+        server_premaster = server.provider.rsa_decrypt(
             server.identity.key, _unframe(m3_wire, MSG_KEY_EXCHANGE),
         )
     except Exception as exc:

@@ -22,7 +22,9 @@ class HMAC:
         if len(key) > block_size:
             key = hash_cls(key).digest()
         key = key.ljust(block_size, b"\x00")
-        self._outer_key = bytes(b ^ 0x5C for b in key)
+        # Both padded-key blocks are absorbed once, here: digest() and
+        # copy() reuse the two hash states.
+        self._outer = hash_cls(bytes(b ^ 0x5C for b in key))
         self._inner = hash_cls(bytes(b ^ 0x36 for b in key))
         if data:
             self.update(data)
@@ -32,8 +34,8 @@ class HMAC:
         return self._hash_cls.digest_size
 
     def __repr__(self) -> str:
-        # Never expose the (derived) key blocks held in _outer_key /
-        # _inner state.
+        # Never expose the (derived) key blocks held in the _outer /
+        # _inner states.
         return (f"HMAC({self._hash_cls.__name__.lower()}, "
                 "<key redacted>)")
 
@@ -43,7 +45,17 @@ class HMAC:
 
     def digest(self) -> bytes:
         """Return the MAC of all data fed so far (non-destructive)."""
-        return self._hash_cls(self._outer_key + self._inner.digest()).digest()
+        outer = self._outer.copy()
+        outer.update(self._inner.digest())
+        return outer.digest()
+
+    def copy(self) -> "HMAC":
+        """Return an independent copy of the running MAC state."""
+        clone = object.__new__(HMAC)
+        clone._hash_cls = self._hash_cls
+        clone._outer = self._outer  # digest() never updates it in place
+        clone._inner = self._inner.copy()
+        return clone
 
     def hexdigest(self) -> str:
         """Return :meth:`digest` as lowercase hex."""

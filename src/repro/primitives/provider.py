@@ -12,9 +12,9 @@ Two providers ship with the library:
   implementations in this package.  The default, and the reference
   semantics.
 * ``"accelerated"`` — :class:`AcceleratedProvider`, which delegates
-  digests/HMAC to :mod:`hashlib` and AES plus the RSA sign/verify
-  primitives to the ``cryptography`` package when importable (RSA
-  encrypt/decrypt stay pure: those paths take an injected RNG for
+  digests/HMAC to :mod:`hashlib` and AES plus the RSA sign, verify
+  and decrypt primitives to the ``cryptography`` package when
+  importable (RSA encrypt stays pure: it takes an injected RNG for
   deterministic tests).  Registered only when its backends import
   cleanly.
 
@@ -118,6 +118,22 @@ class CryptoProvider:
         raise NotImplementedError
 
     def rsa_decrypt(self, key: RSAPrivateKey, ciphertext: bytes) -> bytes:
+        """RSAES-PKCS1-v1_5 decryption with implicit rejection.
+
+        The public checks run first and keep their explicit
+        :class:`~repro.errors.DecryptionError`: a ciphertext that is
+        not k bytes long, or whose value is not below n.  Past them
+        the call never fails.  When the decrypted block is malformed
+        it returns the synthetic message OpenSSL 3.2 and later derive
+        from ``d`` and the ciphertext
+        (:func:`repro.primitives.rsa.synthetic_message`), and every
+        provider returns the same bytes.  A caller therefore learns
+        of bad padding only through what the bytes fail to do (a CEK
+        that does not decrypt, a premaster whose Finished does not
+        verify), the same answer a wrong key gets: no Bleichenbacher
+        oracle.  :func:`repro.primitives.rsa.decrypt` keeps the
+        explicit error for callers that are not doing key transport.
+        """
         raise NotImplementedError
 
 
@@ -179,19 +195,21 @@ class PurePythonProvider(CryptoProvider):
         return rsa.encrypt(key, plaintext, rng or default_random())
 
     def rsa_decrypt(self, key, ciphertext):
-        return rsa.decrypt(key, ciphertext)
+        return rsa.decrypt_implicit(key, ciphertext)
 
 
 class AcceleratedProvider(PurePythonProvider):
-    """Native-backed digests, AES and RSA sign/verify.
+    """Native-backed digests, AES and RSA sign, verify and decrypt.
 
     Digests and HMAC ride :mod:`hashlib`; AES and the RSA signature
     primitives ride ``cryptography`` (PKCS#1 v1.5 with ``Prehashed``,
-    bit-identical to the pure encoding).  RSA encrypt/decrypt stay
-    pure so the injected-RNG determinism of the XMLEnc tests holds
-    under every provider.  Raises :class:`ProviderError` at
-    construction when the native backends are unavailable, so the
-    registry can skip registration.
+    bit-identical to the pure encoding), and so does the RSA decrypt,
+    whose implicit rejection in OpenSSL 3.2 and later returns the
+    same synthetic message as the pure derivation.  RSA encrypt stays
+    pure so the injected-RNG determinism of the XMLEnc tests and the
+    handshake transcripts holds under every provider.  Raises
+    :class:`ProviderError` at construction when the native backends
+    are unavailable, so the registry can skip registration.
     """
 
     name = "accelerated"
@@ -248,7 +266,7 @@ class AcceleratedProvider(PurePythonProvider):
             raise UnknownAlgorithmError(f"unknown digest {algorithm!r}")
         return self._std_hmac.new(key, digestmod=algorithm)
 
-    # -- RSA (cryptography-backed sign/verify) --------------------------------
+    # -- RSA (cryptography-backed sign/verify/decrypt) ------------------------
 
     def _native_private_key(self, key: RSAPrivateKey):
         """Convert (and memoize) *key*; ``None`` if CRT parts missing."""
@@ -310,6 +328,18 @@ class AcceleratedProvider(PurePythonProvider):
         except (self._invalid_signature, ValueError):
             return False
         return True
+
+    def rsa_decrypt(self, key, ciphertext):
+        native = self._native_private_key(key)
+        if native is None:
+            return rsa.decrypt_implicit(key, ciphertext)
+        rsa.check_ciphertext(key, ciphertext)
+        try:
+            return native.decrypt(ciphertext, self._pkcs1v15)
+        except ValueError:
+            # An OpenSSL older than 3.2 rejects bad padding explicitly;
+            # answer as implicit rejection would.
+            return rsa.synthetic_message(key, ciphertext)
 
     def _cipher(self, key, mode):
         return self._cipher_cls(self._algorithms.AES(key), mode)

@@ -6,6 +6,15 @@ XML Encryption names ``rsa-1_5`` (RSAES-PKCS1-v1_5) for key transport;
 is implemented from the PKCS#1 v2.1 description: EMSA-PKCS1-v1_5
 encoding with the standard DigestInfo prefixes, EME-PKCS1-v1_5 with
 random non-zero padding, and a CRT-accelerated private-key operation.
+
+Two decrypts share one EME-PKCS1-v1_5 parse.  :func:`decrypt` rejects
+a bad block with an explicit error; it is the reference the primitive
+tests check.  :func:`decrypt_implicit` is the key-transport decrypt
+behind ``CryptoProvider.rsa_decrypt``: past the public checks it never
+fails, and answers a bad block with the synthetic message OpenSSL
+(3.2 and later) derives from the private exponent and the ciphertext
+(:func:`synthetic_message`), so no answer tells a bad block from a
+good one (Bleichenbacher's oracle).
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 from repro.errors import CryptoError, DecryptionError, KeyError_
 from repro.primitives import sha
 from repro.primitives.encoding import bytes_to_int, int_to_bytes
+from repro.primitives.hmac import HMAC
 from repro.primitives.keys import RSAPrivateKey, RSAPublicKey
 from repro.primitives.prime import generate_prime
 from repro.primitives.random import RandomSource, default_random
@@ -145,28 +155,113 @@ def encrypt(key: RSAPublicKey, plaintext: bytes,
     return int_to_bytes(ciphertext, k)
 
 
-def decrypt(key: RSAPrivateKey, ciphertext: bytes) -> bytes:
-    """RSAES-PKCS1-v1_5 decryption.
+def check_ciphertext(key: RSAPrivateKey, ciphertext: bytes) -> int:
+    """The public checks of RSAES-PKCS1-v1_5 decryption.
+
+    Returns the ciphertext as an integer.  Both checks read only the
+    ciphertext and the public key, so their explicit errors tell an
+    attacker nothing new; every decrypt runs them first.
 
     Raises:
-        DecryptionError: when the decrypted block is not a valid
-            EME-PKCS1-v1_5 encoding (wrong key or corrupted ciphertext).
+        DecryptionError: when the ciphertext is not k bytes long or
+            its value is not below n.
     """
-    k = key.byte_length
-    if len(ciphertext) != k:
+    if len(ciphertext) != key.byte_length:
         raise DecryptionError("RSA ciphertext has wrong length")
     value = bytes_to_int(ciphertext)
     if value >= key.n:
         raise DecryptionError(
             "RSA ciphertext out of range (wrong key?)"
         )
-    em = int_to_bytes(_private_op(key, value), k)
-    if em[0] != 0 or em[1] != 2:
+    return value
+
+
+def _eme_pkcs1_v15_message(em: bytes) -> bytes | None:
+    """The message in EME-PKCS1-v1_5 block *em*, or ``None`` when the
+    block is malformed: first octet not 0, block type not 2, no zero
+    separator, or fewer than eight padding octets before it."""
+    separator = em.find(b"\x00", 2)
+    if em[0] != 0 or em[1] != 2 or separator < 10:
+        return None
+    return em[separator + 1:]
+
+
+def _encoded_message(key: RSAPrivateKey, value: int) -> bytes:
+    return int_to_bytes(_private_op(key, value), key.byte_length)
+
+
+def decrypt(key: RSAPrivateKey, ciphertext: bytes) -> bytes:
+    """RSAES-PKCS1-v1_5 decryption with explicit rejection.
+
+    Raises:
+        DecryptionError: when a public check fails
+            (:func:`check_ciphertext`), or when the decrypted block is
+            not a valid EME-PKCS1-v1_5 encoding (wrong key or corrupted
+            ciphertext).
+    """
+    value = check_ciphertext(key, ciphertext)
+    message = _eme_pkcs1_v15_message(_encoded_message(key, value))
+    if message is None:
         raise DecryptionError("invalid RSA encryption block")
-    try:
-        sep = em.index(b"\x00", 2)
-    except ValueError:
-        raise DecryptionError("invalid RSA encryption block") from None
-    if sep < 10:
-        raise DecryptionError("invalid RSA encryption block")
-    return em[sep + 1:]
+    return message
+
+
+def decrypt_implicit(key: RSAPrivateKey, ciphertext: bytes) -> bytes:
+    """RSAES-PKCS1-v1_5 decryption with implicit rejection.
+
+    Runs the public checks of :func:`check_ciphertext` (explicit
+    errors), then derives the synthetic message before it looks at the
+    padding, and returns it in place of the message when the block is
+    malformed.  The caller learns of a bad block only through what the
+    bytes it got back fail to do.
+    """
+    value = check_ciphertext(key, ciphertext)
+    synthetic = synthetic_message(key, ciphertext)
+    message = _eme_pkcs1_v15_message(_encoded_message(key, value))
+    return synthetic if message is None else message
+
+
+#: Length candidates drawn per synthetic message (OpenSSL's
+#: ``MAX_LEN_GEN_TRIES``): all 128 miss with probability below 2**-128.
+_LENGTH_TRIES = 128
+
+
+def _prf(keyed: HMAC, label: bytes, length: int) -> bytes:
+    """OpenSSL's implicit-rejection PRF: HMAC-SHA-256 in counter mode
+    (*keyed* holds the key-derivation key), each block over
+    ``counter || label || bit length`` as 16-bit big-endian integers."""
+    suffix = label + (8 * length).to_bytes(2, "big")
+    blocks = []
+    for counter in range(-(-length // 32)):
+        block = keyed.copy()
+        block.update(counter.to_bytes(2, "big") + suffix)
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
+
+
+def synthetic_message(key: RSAPrivateKey, ciphertext: bytes) -> bytes:
+    """The message implicit rejection returns for a malformed block.
+
+    The derivation of OpenSSL 3.2 and later, so both providers return
+    the same bytes: the key-derivation key is HMAC-SHA-256 over the
+    ciphertext, keyed by SHA-256 of ``d`` as k octets; the PRF draws
+    k octets under the label "message" and 128 big-endian 16-bit
+    length candidates under "length".  Each candidate is masked to
+    the bit width of k - 10, and the last one below k - 10 is the
+    length; the message is that many trailing octets.
+    """
+    k = key.byte_length
+    kdk = HMAC(sha.sha256(int_to_bytes(key.d, k)), "sha256",
+               ciphertext).digest()
+    keyed = HMAC(kdk, "sha256")
+    message = _prf(keyed, b"message", k)
+    candidates = _prf(keyed, b"length", 2 * _LENGTH_TRIES)
+    limit = k - 10
+    mask = (1 << limit.bit_length()) - 1
+    length = 0
+    for offset in range(0, len(candidates), 2):
+        candidate = int.from_bytes(candidates[offset:offset + 2],
+                                   "big") & mask
+        if candidate < limit:
+            length = candidate
+    return message[k - length:]

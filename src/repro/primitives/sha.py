@@ -59,10 +59,8 @@ class _MDHash:
         """Return the digest of all data fed so far (non-destructive)."""
         clone = self.copy()
         bit_length = clone._length * 8
-        clone.update(b"\x80")
-        while clone._length % 64 != 56:
-            clone.update(b"\x00")
-        clone._length += 8  # keep invariant, though no more digests follow
+        # 0x80, then zeros up to 56 mod 64, then the 64-bit bit length.
+        clone.update(b"\x80" + bytes((55 - clone._length) % 64))
         clone._compress(clone._pending + struct.pack(">Q", bit_length))
         return b"".join(
             struct.pack(">I", w) for w in clone._state[: self.digest_size // 4]

@@ -7,7 +7,9 @@ key transport (``rsa-1_5``), all routed through the crypto provider.
 
 from __future__ import annotations
 
-from repro.errors import DecryptionError, EncryptionError, UnknownAlgorithmError
+from repro.errors import (
+    DecryptionError, EncryptionError, PaddingError, UnknownAlgorithmError,
+)
 from repro.primitives.keys import RSAPrivateKey, RSAPublicKey, SymmetricKey
 from repro.primitives.padding import xmlenc_pad, xmlenc_unpad
 from repro.primitives.provider import CryptoProvider, get_provider
@@ -40,6 +42,15 @@ _BLOCK_SIZES = {
 }
 _WRAP_KEY_SIZES = {KW_AES128: 16, KW_AES192: 24, KW_AES256: 32}
 
+#: The one message of every decrypt failure that depends on the key:
+#: a CEK of the wrong length, bad XMLEnc padding, plaintext that is
+#: not well-formed, a missing content wrapper.  An ``rsa-1_5``
+#: transport under implicit rejection hands back a CEK for any
+#: EncryptedKey, so these are the only places a bad one shows, and
+#: one message keeps them from telling one failure from another.
+DECRYPT_FAILURE = "EncryptedData does not decrypt (wrong key or " \
+    "tampered ciphertext)"
+
 BLOCK_ALGORITHMS = tuple(_BLOCK_KEY_SIZES)
 KEY_WRAP_ALGORITHMS = tuple(_WRAP_KEY_SIZES)
 KEY_TRANSPORT_ALGORITHMS = (RSA_1_5,)
@@ -65,10 +76,15 @@ def wrap_key_size(algorithm: str) -> int:
         ) from None
 
 
-def _key_bytes(key, expected: int, algorithm: str) -> bytes:
+def _raw_key(key, algorithm: str) -> bytes:
     data = key.data if isinstance(key, SymmetricKey) else key
     if not isinstance(data, bytes):
         raise EncryptionError(f"{algorithm} needs symmetric key bytes")
+    return data
+
+
+def _key_bytes(key, expected: int, algorithm: str) -> bytes:
+    data = _raw_key(key, algorithm)
     if len(data) != expected:
         raise EncryptionError(
             f"{algorithm} needs a {expected}-byte key, got {len(data)}"
@@ -101,20 +117,45 @@ def encrypt_block_data(algorithm: str, key, plaintext: bytes,
     return iv + provider.aes_cbc_encrypt(data, iv, padded)
 
 
-def decrypt_block_data(algorithm: str, key, ciphertext: bytes,
-                       provider: CryptoProvider | None = None) -> bytes:
-    """Inverse of :func:`encrypt_block_data`."""
-    provider = provider or get_provider()
-    data = _key_bytes(key, block_key_size(algorithm), algorithm)
+def check_block_ciphertext(algorithm: str, ciphertext: bytes) -> None:
+    """The public check of :func:`decrypt_block_data`: an IV and at
+    least one whole block.
+
+    It reads only the ciphertext, so its explicit error tells an
+    attacker nothing; a caller that resolves the key itself runs it
+    before the key, so the answer never depends on what the key
+    unwraps to.
+    """
     bs = block_size(algorithm)
     if len(ciphertext) < 2 * bs or len(ciphertext) % bs:
         raise DecryptionError("ciphertext too short or ragged")
+
+
+def decrypt_block_data(algorithm: str, key, ciphertext: bytes,
+                       provider: CryptoProvider | None = None) -> bytes:
+    """Inverse of :func:`encrypt_block_data`.
+
+    The public check (:func:`check_block_ciphertext`) runs first, with
+    its own message.  A key of the wrong length and bad padding both
+    raise :class:`DecryptionError` with :data:`DECRYPT_FAILURE`: an
+    implicitly rejected transport yields a CEK of pseudo-random
+    length, and naming that length would be an oracle of its own.
+    """
+    provider = provider or get_provider()
+    check_block_ciphertext(algorithm, ciphertext)
+    bs = block_size(algorithm)
+    data = _raw_key(key, algorithm)
+    if len(data) != block_key_size(algorithm):
+        raise DecryptionError(DECRYPT_FAILURE)
     iv, body = ciphertext[:bs], ciphertext[bs:]
     if algorithm == TRIPLEDES_CBC:
         padded = provider.tripledes_cbc_decrypt(data, iv, body)
     else:
         padded = provider.aes_cbc_decrypt(data, iv, body)
-    return xmlenc_unpad(padded, bs)
+    try:
+        return xmlenc_unpad(padded, bs)
+    except PaddingError:
+        raise DecryptionError(DECRYPT_FAILURE) from None
 
 
 def wrap_cek(algorithm: str, kek, cek: bytes,

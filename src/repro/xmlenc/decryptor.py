@@ -4,13 +4,25 @@ The player "decrypts the application and resources on execution" (§4);
 this class resolves the needed keys (named key slots, unwrap of
 transported CEKs, RSA key transport), decrypts EncryptedData, and —
 for XML targets — splices the recovered markup back into the tree.
+
+Every failure that depends on the key raises one
+:class:`DecryptionError` with the message
+:data:`~repro.xmlenc.algorithms.DECRYPT_FAILURE`: an ``rsa-1_5``
+EncryptedKey that does not unwrap, a CEK of the wrong length, bad
+padding, plaintext that is not well-formed, a missing content
+wrapper.  A mutated EncryptedKey, a mutated CipherValue and another
+device's key therefore get the same answer, so the errors are no
+padding oracle (Jager, Schinzel and Somorovsky, ESORICS 2012).  The
+checks that read only public data (fetching a CipherReference, the
+ciphertext's length) keep their own messages, and they run before the
+key is resolved, so no EncryptedKey changes which of them fires.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import DecryptionError, EncryptedDataFormatError
+from repro.errors import DecryptionError, XMLError
 from repro.perf import metrics
 from repro.primitives.keys import RSAPrivateKey, SymmetricKey
 from repro.primitives.provider import CryptoProvider, get_provider
@@ -29,8 +41,10 @@ class Decryptor:
     Args:
         keys: named symmetric keys (``ds:KeyName`` → key) — the player's
             key slots.
-        rsa_keys: RSA private keys to try for ``rsa-1_5`` transported
-            CEKs.
+        rsa_key: the device's RSA private key, which unwraps
+            ``rsa-1_5`` transported CEKs.  There is one: under
+            implicit rejection every key "succeeds", so no key can be
+            picked by trying each in turn.
         resolver: URI → bytes for CipherReference (detached ciphertext).
         provider: crypto provider override.
         guard: optional
@@ -44,14 +58,14 @@ class Decryptor:
     """
 
     def __init__(self, keys: dict[str, SymmetricKey | bytes] | None = None,
-                 rsa_keys: list[RSAPrivateKey] | None = None,
+                 rsa_key: RSAPrivateKey | None = None,
                  resolver: Resolver | None = None,
                  provider: CryptoProvider | None = None,
                  guard=None):
         self._keys: dict[str, SymmetricKey] = {}
         for name, key in (keys or {}).items():
             self.add_key(name, key)
-        self._rsa_keys = list(rsa_keys or [])
+        self.rsa_key = rsa_key
         self._resolver = resolver
         # Resolved lazily so a provider switch (REPRO_PROVIDER /
         # set_default_provider) takes effect on existing decryptors.
@@ -73,14 +87,16 @@ class Decryptor:
             key = SymmetricKey(key, "aes")
         self._keys[name] = key
 
-    def add_rsa_key(self, key: RSAPrivateKey) -> None:
-        self._rsa_keys.append(key)
-
     # -- key resolution --------------------------------------------------------------
 
     def resolve_key(self, data: EncryptedData,
-                    explicit_key=None) -> SymmetricKey:
-        """Find the content-encryption key for *data*."""
+                    explicit_key=None) -> SymmetricKey | bytes:
+        """Find the content-encryption key for *data*.
+
+        A transported CEK comes back as raw octets of whatever length
+        it unwrapped to; :func:`~repro.xmlenc.algorithms.decrypt_block_data`
+        judges that length.
+        """
         if explicit_key is not None:
             if isinstance(explicit_key, bytes):
                 return SymmetricKey(explicit_key, "aes")
@@ -98,34 +114,38 @@ class Decryptor:
             "EncryptedData names no key and none was supplied"
         )
 
-    def _unwrap(self, data: EncryptedData) -> SymmetricKey:
+    def _unwrap(self, data: EncryptedData) -> bytes:
         encrypted_key = data.encrypted_key
         assert encrypted_key is not None
         algorithm = encrypted_key.algorithm
         if algorithm == algorithms.RSA_1_5:
-            last_error: Exception | None = None
-            for key in self._rsa_keys:
-                try:
-                    cek = algorithms.unwrap_cek(
-                        algorithm, key, encrypted_key.cipher_value,
-                        self.provider,
-                    )
-                    return SymmetricKey(cek, "aes")
-                except DecryptionError as exc:
-                    last_error = exc
-            raise DecryptionError(
-                f"no RSA key decrypts the transported CEK: {last_error}"
-            )
+            if self.rsa_key is None:
+                raise DecryptionError(
+                    "rsa-1_5 transported CEK but no RSA key to unwrap it"
+                )
+            try:
+                # A synthetic CEK has a pseudo-random length, empty
+                # included; it is returned as it is, and fails as
+                # content like any other wrong key.
+                return algorithms.unwrap_cek(
+                    algorithm, self.rsa_key, encrypted_key.cipher_value,
+                    self.provider,
+                )
+            except DecryptionError:
+                # Only the public checks fail here (length, value not
+                # below n).  A CEK wrapped for another device is often
+                # out of this modulus's range; it gets the answer any
+                # wrong key gets.
+                raise DecryptionError(algorithms.DECRYPT_FAILURE) from None
         if encrypted_key.key_name:
             kek = self._keys.get(encrypted_key.key_name)
             if kek is None:
                 raise DecryptionError(
                     f"no KEK slot named {encrypted_key.key_name!r}"
                 )
-            cek = algorithms.unwrap_cek(
+            return algorithms.unwrap_cek(
                 algorithm, kek, encrypted_key.cipher_value, self.provider,
             )
-            return SymmetricKey(cek, "aes")
         raise DecryptionError("EncryptedKey names no KEK")
 
     # -- decryption -------------------------------------------------------------------
@@ -148,11 +168,17 @@ class Decryptor:
 
     def decrypt_to_bytes(self, data: EncryptedData | Element,
                          key=None) -> bytes:
-        """Decrypt and return the raw plaintext octets."""
+        """Decrypt and return the raw plaintext octets.
+
+        The ciphertext is fetched and its public check run before the
+        key is resolved, so their explicit errors never depend on what
+        an EncryptedKey unwraps to.
+        """
         if isinstance(data, Element):
             data = EncryptedData.from_element(data)
-        cek = self.resolve_key(data, key)
         ciphertext = self._ciphertext(data)
+        algorithms.check_block_ciphertext(data.algorithm, ciphertext)
+        cek = self.resolve_key(data, key)
         if self.guard is not None:
             self.guard.check_deadline()
         plaintext = algorithms.decrypt_block_data(
@@ -169,36 +195,25 @@ class Decryptor:
         for ``Type=Content`` the recovered child nodes.  Raises for
         non-XML types.
         """
-        from repro.errors import XMLError
         data = EncryptedData.from_element(node)
+        if data.data_type not in (algorithms.TYPE_ELEMENT,
+                                  algorithms.TYPE_CONTENT):
+            raise DecryptionError(
+                f"EncryptedData type {data.data_type!r} is not XML"
+            )
         plaintext = self.decrypt_to_bytes(data, key)
         # XMLEnc padding only inspects one octet, so a wrong key can slip
-        # through to the parser; surface garbage plaintext as a
-        # decryption failure rather than a syntax error.
+        # through to the parser: garbage plaintext is a decryption
+        # failure, reported without the parser's detail.
+        try:
+            recovered = parse_element(plaintext, guard=self.guard)
+        except XMLError:
+            raise DecryptionError(algorithms.DECRYPT_FAILURE) from None
         if data.data_type == algorithms.TYPE_ELEMENT:
-            try:
-                return [parse_element(plaintext, guard=self.guard)]
-            except XMLError as exc:
-                raise DecryptionError(
-                    f"decrypted plaintext is not well-formed XML "
-                    f"(wrong key or tampered ciphertext): {exc}"
-                ) from None
-        if data.data_type == algorithms.TYPE_CONTENT:
-            try:
-                wrapper = parse_element(plaintext, guard=self.guard)
-            except XMLError as exc:
-                raise DecryptionError(
-                    f"decrypted plaintext is not well-formed XML "
-                    f"(wrong key or tampered ciphertext): {exc}"
-                ) from None
-            if wrapper.local != CONTENT_WRAPPER:
-                raise EncryptedDataFormatError(
-                    "content ciphertext lacks the content wrapper"
-                )
-            return [child.copy() for child in wrapper.children]
-        raise DecryptionError(
-            f"EncryptedData type {data.data_type!r} is not XML"
-        )
+            return [recovered]
+        if recovered.local != CONTENT_WRAPPER:
+            raise DecryptionError(algorithms.DECRYPT_FAILURE)
+        return [child.copy() for child in recovered.children]
 
     def decrypt_element(self, node: Element, key=None) -> list[Node]:
         """Decrypt *node* and splice the plaintext nodes into its place.

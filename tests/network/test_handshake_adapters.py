@@ -15,10 +15,13 @@ import pytest
 from repro.certs import CertificateAuthority, SigningIdentity, TrustStore
 from repro.errors import ChannelSecurityError
 from repro.network import (
-    AsyncChannel, Channel, ContentServer, DownloadClient, PassiveWiretap,
-    Replacer, SecureClient, SecureServer, establish, establish_async,
+    ActiveTamperer, AsyncChannel, Channel, ContentServer, DownloadClient,
+    PassiveWiretap, Replacer, SecureClient, SecureServer, establish,
+    establish_async,
 )
-from repro.network.secure import MSG_SERVER_HELLO, _frame
+from repro.network.secure import (
+    MSG_KEY_EXCHANGE, MSG_RECORD, MSG_SERVER_HELLO, _frame,
+)
 from repro.player import DiscPlayer
 from repro.primitives.random import DeterministicRandomSource
 from repro.resilience import DropFault, FaultSchedule, VirtualClock
@@ -107,6 +110,35 @@ def test_server_hello_chain_length_must_cover_the_rest(handshake, seeded,
     payload = bytes(32) + struct.pack(">I", declared) + chain
     with pytest.raises(ChannelSecurityError, match="length mismatch"):
         handshake(*seeded_parties(*seeded), [forged_server_hello(payload)])
+
+
+def handshake_failure(handshake, seeded, tamperer) -> tuple:
+    with pytest.raises(ChannelSecurityError) as excinfo:
+        handshake(*seeded_parties(*seeded), [tamperer])
+    return type(excinfo.value), str(excinfo.value)
+
+
+#: Octets of the key-exchange flight, counted from its end.  They lie
+#: in the low-order half of the RSA ciphertext, so the value stays
+#: below n and only the padding of the premaster block can go wrong.
+KEY_EXCHANGE_FLIPS = (-1, -33, -64)
+
+
+def test_bad_premaster_fails_only_at_finished(handshake, seeded):
+    """Implicit rejection: a tampered key exchange decrypts to a
+    synthetic premaster, and the handshake fails exactly as it does
+    for a tampered client Finished record (RFC 5246 §7.4.7.1), so a
+    Bleichenbacher probe learns nothing about the padding."""
+    reference = handshake_failure(handshake, seeded, ActiveTamperer(
+        predicate=lambda m: m[:1] == bytes([MSG_RECORD]), offset=-1))
+    assert reference == (ChannelSecurityError,
+                         "record MAC failure: tampering detected in "
+                         "transit")
+    for offset in KEY_EXCHANGE_FLIPS:
+        tamperer = ActiveTamperer(
+            predicate=lambda m: m[:1] == bytes([MSG_KEY_EXCHANGE]),
+            offset=offset)
+        assert handshake_failure(handshake, seeded, tamperer) == reference
 
 
 def test_forged_server_hello_bars_bonus_download(seeded):

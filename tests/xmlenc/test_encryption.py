@@ -3,15 +3,18 @@
 import pytest
 
 from repro.errors import (
-    DecryptionError, EncryptedDataFormatError, EncryptionError, PaddingError,
+    DecryptionError, EncryptedDataFormatError, EncryptionError,
 )
 from repro.primitives.keys import SymmetricKey
+from repro.primitives.provider import get_provider
 from repro.primitives.rsa import generate_keypair
 from repro.xmlcore import XMLENC_NS, canonicalize, parse_element, serialize
 from repro.xmlenc import (
     AES128_CBC, AES192_CBC, AES256_CBC, Decryptor, EncryptedData,
-    EncryptedKey, Encryptor, KW_AES256, TYPE_ELEMENT,
+    EncryptedKey, Encryptor, KW_AES256, TYPE_CONTENT, TYPE_ELEMENT,
+    decrypt_block_data,
 )
+from repro.xmlenc.algorithms import DECRYPT_FAILURE
 
 
 @pytest.fixture
@@ -134,27 +137,60 @@ def test_session_key_with_rsa_transport(encryptor, rng, manifest):
     )
     enc_el = manifest.find("EncryptedData", XMLENC_NS)
     assert enc_el.find("EncryptedKey", XMLENC_NS) is not None
-    decryptor = Decryptor(rsa_keys=[player_key])
+    decryptor = Decryptor(rsa_key=player_key)
     decryptor.decrypt_in_place(manifest)
     assert canonicalize(manifest) == original
 
 
 def test_rsa_transport_wrong_key(encryptor, rng, manifest):
+    """Another device's key unwraps a synthetic CEK (implicit
+    rejection); what fails is the content, with the one message."""
     player_key = generate_keypair(1024, rng)
     other_key = generate_keypair(1024, rng)
     encryptor.session_encrypt_element(
         manifest.find("code"), player_key.public_key(),
     )
-    decryptor = Decryptor(rsa_keys=[other_key])
-    with pytest.raises((DecryptionError, PaddingError)):
+    decryptor = Decryptor(rsa_key=other_key)
+    with pytest.raises(DecryptionError) as excinfo:
         decryptor.decrypt_in_place(manifest)
+    assert str(excinfo.value) == DECRYPT_FAILURE
 
 
 def test_wrong_named_key(encryptor, key, rng, manifest):
     encryptor.encrypt_element(manifest.find("code"), key, key_name="k")
     wrong = Decryptor(keys={"k": SymmetricKey(rng.read(16))})
-    with pytest.raises((DecryptionError, PaddingError)):
+    with pytest.raises(DecryptionError) as excinfo:
         wrong.decrypt_in_place(manifest)
+    assert str(excinfo.value) == DECRYPT_FAILURE
+
+
+@pytest.mark.parametrize("length", [0, 15, 17, 32])
+def test_wrong_length_cek_is_a_content_failure(encryptor, key, length):
+    """An implicitly rejected transport yields a CEK of pseudo-random
+    length: its decrypt fails with the one message, which names no
+    length (the encrypt side keeps its explicit message)."""
+    data, _ = encryptor.encrypt_bytes(b"payload", key, key_name="k")
+    with pytest.raises(DecryptionError) as excinfo:
+        decrypt_block_data(AES128_CBC, bytes(length), data.cipher_value)
+    assert str(excinfo.value) == DECRYPT_FAILURE
+
+
+def test_bad_padding_is_a_content_failure(key, rng):
+    iv = rng.read(16)
+    # One block whose last octet, the XMLEnc pad length, is zero.
+    body = get_provider().aes_cbc_encrypt(key.data, iv, bytes(16))
+    with pytest.raises(DecryptionError) as excinfo:
+        decrypt_block_data(AES128_CBC, key, iv + body)
+    assert str(excinfo.value) == DECRYPT_FAILURE
+
+
+def test_missing_content_wrapper_is_a_content_failure(encryptor, key):
+    data, _ = encryptor.encrypt_bytes(b"<not-the-wrapper/>", key,
+                                      key_name="k")
+    data.data_type = TYPE_CONTENT
+    with pytest.raises(DecryptionError) as excinfo:
+        Decryptor(keys={"k": key}).decrypt_nodes(data.to_element())
+    assert str(excinfo.value) == DECRYPT_FAILURE
 
 
 def test_missing_key_slot(encryptor, key, manifest):
