@@ -70,17 +70,17 @@ def main() -> None:
 
     manifest_element = game.to_element()
     disc_key = SymmetricKey(rng.read(16))
-    table = manifest_element.get_element_by_id("score-table")
+    table = manifest_element.element_by_id("score-table")
     Encryptor(rng=rng).encrypt_content(table, disc_key,
                                        key_name="disc-key")
     print("== shipped manifest: table element visible, rows hidden ==")
-    print(serialize(manifest_element.get_element_by_id("score-table"),
+    print(serialize(manifest_element.element_by_id("score-table"),
                     pretty=True)[:320], "...\n")
 
     Decryptor(keys={"disc-key": disc_key}).decrypt_in_place(
         manifest_element
     )
-    rows = manifest_element.get_element_by_id("score-table") \
+    rows = manifest_element.element_by_id("score-table") \
         .findall("entry")
     print("decrypted rows:", [(r.get("player"), r.get("value"))
                               for r in rows])

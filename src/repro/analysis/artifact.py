@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.engine import register
 from repro.analysis.findings import AnalysisResult, Severity, display_path
+from repro.dsig.reference import signature_coverage
 from repro.dsig.transforms import (
     DECRYPT_BINARY, DECRYPT_XML, ENVELOPED_SIGNATURE,
 )
@@ -29,7 +30,6 @@ from repro.xacml.pdp import PDP
 from repro.xmlcore import (
     DSIG_NS, MHP_PERMISSION_NS, XACML_NS, XMLENC_NS, parse_element,
 )
-from repro.xmlcore.c14n import ALL_C14N_ALGORITHMS
 from repro.xmlcore.tree import Element
 
 # Algorithm strength policy (the auditor's stance, not the player's).
@@ -134,9 +134,9 @@ SEC041 = register(
 
 def _node_locator(root: Element, node: Element) -> str:
     """A stable human locator: ``#id`` when available, else a path."""
-    for attr in node.attrs:
-        if attr.local in ("Id", "ID", "id"):
-            return f"#{attr.value}"
+    ids = node.id_values()
+    if ids:
+        return f"#{ids[0]}"
     segments: list[str] = []
     current: Element | None = node
     while isinstance(current, Element):
@@ -164,22 +164,11 @@ def _is_descendant(node: Element, ancestor: Element) -> bool:
 
 
 @dataclass
-class ReferenceShape:
-    """The auditor's lenient view of one ds:Reference."""
-
-    uri: str | None
-    transforms: list[str]
-    digest_method: str
-    element: Element
-
-
-@dataclass
 class _DocumentAudit:
     """Per-document working state for one artifact."""
 
     name: str
     root: Element
-    id_map: dict[str, list[Element]] = field(default_factory=dict)
     signatures: list[Element] = field(default_factory=list)
 
 
@@ -202,10 +191,6 @@ class ArtifactAuditor:
         """Audit one parsed document."""
         self.result.scanned += 1
         doc = _DocumentAudit(name=name, root=root)
-        for node in root.iter():
-            for attr in node.attrs:
-                if attr.local in ("Id", "ID", "id"):
-                    doc.id_map.setdefault(attr.value, []).append(node)
         doc.signatures = list(root.iter("Signature", DSIG_NS))
         self._audit_ids(doc)
         self._audit_algorithms(doc)
@@ -300,7 +285,7 @@ class ArtifactAuditor:
     # -- per-document passes ---------------------------------------------------
 
     def _audit_ids(self, doc: _DocumentAudit) -> None:
-        for value, nodes in sorted(doc.id_map.items()):
+        for value, nodes in sorted(doc.root.id_index().items()):
             if len(nodes) > 1:
                 self.result.findings.append(SEC001.finding(
                     doc.name,
@@ -362,48 +347,24 @@ class ArtifactAuditor:
 
     # -- reference / coverage passes ------------------------------------------
 
-    def _reference_shapes(self, signature: Element) -> list[ReferenceShape]:
-        shapes = []
-        signed_info = signature.first_child("SignedInfo", DSIG_NS)
-        if signed_info is None:
-            return shapes
-        for ref_el in signed_info.findall("Reference", DSIG_NS):
-            transforms = [
-                t.get("Algorithm") or ""
-                for t in ref_el.findall("Transform", DSIG_NS)
-            ]
-            digest_el = ref_el.first_child("DigestMethod", DSIG_NS)
-            shapes.append(ReferenceShape(
-                uri=ref_el.get("URI"),
-                transforms=transforms,
-                digest_method=(digest_el.get("Algorithm") or ""
-                               if digest_el is not None else ""),
-                element=ref_el,
-            ))
-        return shapes
-
-    def _resolve_target(self, doc: _DocumentAudit,
-                        shape: ReferenceShape) -> Element | None:
-        if shape.uri == "":
-            return doc.root
-        if shape.uri and shape.uri.startswith("#"):
-            matches = doc.id_map.get(shape.uri[1:], [])
-            # Duplicates are already SEC001; resolving the first keeps
-            # the coverage map useful for the rest of the audit.
-            return matches[0] if matches else None
-        return None
-
     def _audit_references(self, doc: _DocumentAudit
                           ) -> dict[int, set[int]]:
-        """Audit every reference; return per-signature covered node ids."""
+        """Audit every reference; return per-signature covered node ids.
+
+        The references and what each vouches for come from
+        :func:`~repro.dsig.reference.signature_coverage`, the rule the
+        player's wrapping defence reads, so the coverage map lists
+        exactly the subtrees the player treats as signed.
+        """
         covered: dict[int, set[int]] = {}
         for sig_index, signature in enumerate(doc.signatures):
             sig_name = signature.get("Id") or f"signature[{sig_index + 1}]"
             entries = []
             covered_ids: set[int] = set()
-            for shape in self._reference_shapes(signature):
+            for reference, target in signature_coverage(signature):
                 entry = self._audit_one_reference(
-                    doc, signature, sig_name, shape, covered_ids,
+                    doc, signature, sig_name, reference, target,
+                    covered_ids,
                 )
                 entries.append(entry)
             covered[id(signature)] = covered_ids
@@ -415,67 +376,69 @@ class ArtifactAuditor:
 
     def _audit_one_reference(self, doc: _DocumentAudit,
                              signature: Element, sig_name: str,
-                             shape: ReferenceShape,
+                             reference: Element, target: Element | None,
                              covered_ids: set[int]) -> dict:
         where = f"{doc.name} {sig_name}"
-        enveloped = ENVELOPED_SIGNATURE in shape.transforms
+        uri = reference.get("URI")
+        transforms = [t.get("Algorithm") or ""
+                      for t in reference.findall("Transform", DSIG_NS)]
+        digest_el = reference.first_child("DigestMethod", DSIG_NS)
+        digest_method = (digest_el.get("Algorithm") or ""
+                         if digest_el is not None else "")
+        enveloped = ENVELOPED_SIGNATURE in transforms
         decrypting = any(t in (DECRYPT_XML, DECRYPT_BINARY)
-                         for t in shape.transforms)
-        if shape.digest_method in WEAK_DIGESTS:
+                         for t in transforms)
+        if digest_method in WEAK_DIGESTS:
             self.result.findings.append(SEC010.finding(
                 where,
-                f"reference {shape.uri!r} digests with "
-                f"{WEAK_DIGESTS[shape.digest_method]}",
+                f"reference {uri!r} digests with "
+                f"{WEAK_DIGESTS[digest_method]}",
             ))
-        target = self._resolve_target(doc, shape)
-        entry = {"uri": shape.uri, "covers": None, "elements": 0}
-        if shape.uri is not None and shape.uri.startswith("#"):
-            if target is None:
+        # The elements the URI names, whatever its chain keeps of them.
+        if uri == "":
+            named: tuple[Element, ...] = (doc.root,)
+        elif uri and uri.startswith("#"):
+            named = doc.root.id_index().get(uri[1:], ())
+        else:
+            named = ()
+        entry = {"uri": uri, "covers": None, "elements": 0}
+        if uri is not None and uri.startswith("#"):
+            if not named:
                 self.result.findings.append(SEC004.finding(
                     where,
-                    f"reference {shape.uri!r} matches no element",
+                    f"reference {uri!r} matches no element",
                 ))
-            elif not enveloped and \
+            elif target is not None and not enveloped and \
                     not _is_descendant(signature, target):
                 self.result.findings.append(SEC002.finding(
                     where,
-                    f"reference {shape.uri!r} is resolved by Id only; "
+                    f"reference {uri!r} is resolved by Id only; "
                     "its subtree is not position-bound",
                     detail=f"target {_node_locator(doc.root, target)}",
                 ))
-        if shape.uri not in (None, "") and \
-                not shape.uri.startswith("#"):
-            entry["covers"] = shape.uri  # external resource
-        if enveloped and (target is None or
-                          not _is_descendant(signature, target)):
+        if uri not in (None, "") and not uri.startswith("#"):
+            entry["covers"] = uri  # external resource
+        if enveloped and not any(_is_descendant(signature, el)
+                                 for el in named):
             self.result.findings.append(SEC003.finding(
                 where,
-                f"enveloped-signature transform on {shape.uri!r} but "
+                f"enveloped-signature transform on {uri!r} but "
                 "the signature is not inside the referenced subtree",
             ))
-        unknown = [
-            t for t in shape.transforms
-            if t and t not in ALL_C14N_ALGORITHMS
-            and t not in (ENVELOPED_SIGNATURE, DECRYPT_XML,
-                          DECRYPT_BINARY)
-        ]
         if target is not None:
             subtree = [el for el in target.iter()
                        if not (enveloped
                                and _is_descendant(el, signature))]
-            # Unknown transforms (XPath, base64, ...) may shrink the
-            # covered set arbitrarily, so claim nothing for them.
-            if not unknown:
-                covered_ids.update(id(el) for el in subtree)
-                entry["covers"] = _node_locator(doc.root, target)
-                entry["elements"] = len(subtree)
+            covered_ids.update(id(el) for el in subtree)
+            entry["covers"] = _node_locator(doc.root, target)
+            entry["elements"] = len(subtree)
             if not decrypting and any(
                 el.matches("EncryptedData", XMLENC_NS)
                 for el in subtree
             ):
                 self.result.findings.append(SEC022.finding(
                     where,
-                    f"reference {shape.uri!r} covers EncryptedData "
+                    f"reference {uri!r} covers EncryptedData "
                     "without a Decryption Transform",
                 ))
         return entry

@@ -155,7 +155,7 @@ class AuthoringPipeline:
 
     def _encrypt_target(self, package: Element, target_id: str, cek,
                         encrypted_key, data_id: str) -> None:
-        target = package.get_element_by_id(target_id)
+        target = package.element_by_id(target_id)
         if target is None:
             raise AuthoringError(
                 f"no element with Id {target_id!r} to encrypt"

@@ -23,8 +23,8 @@ from repro.core.package import PackageView, parse_package
 from repro.disc.manifest import ApplicationManifest
 from repro.dsig.verifier import VerificationReport, Verifier
 from repro.errors import (
-    ApplicationRejectedError, DiscFormatError, NetworkError,
-    ResourceLimitExceeded, XKMSError,
+    ApplicationRejectedError, DecryptionError, DiscFormatError,
+    NetworkError, ResourceLimitExceeded, XKMSError,
 )
 from repro.perf import metrics
 from repro.permissions.request_file import (
@@ -207,7 +207,9 @@ class PlaybackPipeline:
 
         # Unlock for execution.  A decrypt bomb (plaintext quota or
         # expansion-ratio trip) bars the package like any other
-        # resource attack — with the decision on the degradation log.
+        # resource attack, and so does code that does not decrypt for
+        # this player (sealed to another device key): either way the
+        # decision goes on the degradation log.
         try:
             decryptor.decrypt_in_place(view.root)
         except ResourceLimitExceeded as exc:
@@ -215,6 +217,11 @@ class PlaybackPipeline:
             raise ApplicationRejectedError(
                 f"package decryption exceeds resource limits "
                 f"(decrypt bomb?): {exc}"
+            ) from None
+        except DecryptionError as exc:
+            self.degradation.record("package", "decrypt", exc)
+            raise ApplicationRejectedError(
+                f"package does not decrypt for this player: {exc}"
             ) from None
         manifest_element = view.root.first_child("manifest", DISC_NS) \
             or view.root.find("manifest", DISC_NS) \

@@ -1,7 +1,7 @@
 """Preset disc security profiles.
 
 Named bundles of the knobs a content provider turns: what gets signed,
-what gets encrypted, and in which order — the configurations the
+what gets encrypted, and with which algorithms — the configurations the
 evaluation sweeps over.
 """
 
@@ -24,8 +24,10 @@ class SecurityProfile:
         encrypt_levels: hierarchy levels whose targets get encrypted.
         signature_method / digest_method / encryption_algorithm:
             algorithm URIs.
-        encrypt_before_signing: Fig 9 ordering knob — encrypted regions
-            become ``dcrpt:Except`` entries when True.
+
+    On a disc, encryption always precedes signing (see
+    :func:`apply_profile_to_disc`); the sign-then-encrypt order of
+    Fig 9 is :class:`repro.core.AuthoringPipeline`'s.
     """
 
     name: str
@@ -34,7 +36,6 @@ class SecurityProfile:
     signature_method: str = dsig_algorithms.RSA_SHA1
     digest_method: str = dsig_algorithms.SHA1
     encryption_algorithm: str = xenc_algorithms.AES128_CBC
-    encrypt_before_signing: bool = False
 
 
 UNPROTECTED = SecurityProfile("unprotected", sign_level=None)
@@ -79,8 +80,8 @@ def apply_profile_to_disc(image, profile: SecurityProfile, identity, *,
                           rng=None, include_streams: bool = True):
     """Protect a mastered disc image according to *profile*.
 
-    Encryption (if any) is applied per the profile's ordering knob,
-    signing per its level; the rewritten cluster is stored back on the
+    Encryption (if any) is applied first, then signing per the
+    profile's level; the rewritten cluster is stored back on the
     image.  Returns a dict with the per-stage results.
 
     Args:

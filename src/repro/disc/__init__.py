@@ -8,10 +8,7 @@ from repro.disc.formats import (
 from repro.disc.hierarchy import (
     TRACK_APPLICATION, TRACK_AV, InteractiveCluster, Track,
 )
-from repro.disc.image import (
-    AUXDATA_DIR, CLIPINF_DIR, CLUSTER_PATH, STREAM_DIR, DiscImage,
-    clipinfo_path, path_to_uri, stream_path, uri_to_path,
-)
+from repro.disc.image import DiscImage
 from repro.disc.manifest import ApplicationManifest, Script, SubMarkup
 from repro.disc.playlist import PlayItem, Playlist
 from repro.disc.tsgen import (
@@ -26,8 +23,6 @@ __all__ = [
     "TRACK_AV", "TRACK_APPLICATION",
     "generate_transport_stream", "inspect_transport_stream",
     "TransportStreamInfo", "TS_PACKET_SIZE", "TS_SYNC_BYTE",
-    "CLUSTER_PATH", "STREAM_DIR", "CLIPINF_DIR", "AUXDATA_DIR",
-    "stream_path", "clipinfo_path", "path_to_uri", "uri_to_path",
     "DiscFormat", "BD_ROM", "HD_DVD", "EDVD", "ALL_FORMATS",
     "format_by_name",
 ]

@@ -12,6 +12,9 @@ Layout::
     BDMV/STREAM/<id>.m2ts       transport stream files
     BDMV/CLIPINF/<id>.clpi      clip information files
     BDMV/AUXDATA/...            anything else (ciphertext blobs, certs)
+
+The paths and the URI scheme are the :class:`DiscFormat` layout's
+(``BD_ROM`` by default; ``image.layout.stream_path(clip_id)`` etc.).
 """
 
 from __future__ import annotations
@@ -25,35 +28,6 @@ from repro.disc.formats import BD_ROM, DiscFormat
 from repro.disc.hierarchy import InteractiveCluster
 from repro.resilience.limits import ResourceGuard
 from repro.xmlcore import Element, parse_element
-
-CLUSTER_PATH = "BDMV/CLUSTER/cluster.xml"
-STREAM_DIR = "BDMV/STREAM"
-CLIPINF_DIR = "BDMV/CLIPINF"
-AUXDATA_DIR = "BDMV/AUXDATA"
-
-URI_SCHEME = "bd://"
-
-
-def stream_path(clip_id: str) -> str:
-    """BD-ROM stream path for *clip_id* (module-level BD default)."""
-    return f"{STREAM_DIR}/{clip_id}.m2ts"
-
-
-def clipinfo_path(clip_id: str) -> str:
-    """BD-ROM clip-info path for *clip_id* (module-level BD default)."""
-    return f"{CLIPINF_DIR}/{clip_id}.clpi"
-
-
-def path_to_uri(path: str) -> str:
-    """Disc path → ``bd://`` URI."""
-    return URI_SCHEME + path
-
-
-def uri_to_path(uri: str) -> str:
-    """``bd://`` URI → disc path."""
-    if not uri.startswith(URI_SCHEME):
-        raise DiscFormatError(f"not a disc URI: {uri!r}")
-    return uri[len(URI_SCHEME):]
 
 
 class DiscImage:

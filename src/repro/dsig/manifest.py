@@ -21,15 +21,14 @@ from itertools import count
 
 from repro.errors import SignatureError
 from repro.dsig.reference import (
-    Reference, ReferenceContext, ReferenceResult, check_reference,
-    compute_reference_digest,
+    MANIFEST_TYPE, Reference, ReferenceContext, ReferenceResult,
+    check_reference, compute_reference_digest, manifest_entries,
+    signed_manifests, top_element,
 )
 from repro.dsig.signer import Signer
 from repro.primitives.provider import CryptoProvider, get_provider
 from repro.xmlcore import DSIG_NS, element
 from repro.xmlcore.tree import Element
-
-MANIFEST_TYPE = "http://www.w3.org/2000/09/xmldsig#Manifest"
 
 _ids = count(1)
 
@@ -67,7 +66,7 @@ def sign_with_manifest(signer: Signer, references: list[Reference], *,
     parent.append(manifest_el)
 
     # Fill each manifest reference's digest now, in document context.
-    context = ReferenceContext(root=_top(parent), resolver=resolver)
+    context = ReferenceContext(root=top_element(parent), resolver=resolver)
     for reference, reference_el in zip(references,
                                        manifest_el.child_elements()):
         digest = compute_reference_digest(reference, context,
@@ -100,33 +99,6 @@ def _set_digest(reference_el: Element, digest: bytes) -> None:
     value_el.append(Text(b64encode(digest)))
 
 
-def _top(node: Element) -> Element:
-    current = node
-    while isinstance(current.parent, Element):
-        current = current.parent
-    return current
-
-
-def find_manifest(signature: Element) -> Element | None:
-    """The ds:Manifest referenced by *signature* (same-document)."""
-    for reference_el in signature.findall("Reference", DSIG_NS):
-        if reference_el.get("Type") != MANIFEST_TYPE:
-            continue
-        uri = reference_el.get("URI") or ""
-        if not uri.startswith("#"):
-            continue
-        root = _top(signature)
-        matches = root.get_elements_by_id(uri[1:])
-        if len(matches) > 1:
-            raise SignatureError(
-                f"duplicate Id {uri[1:]!r}: ambiguous manifest reference "
-                "(wrapping defence)"
-            )
-        if matches and matches[0].local == "Manifest":
-            return matches[0]
-    return None
-
-
 @dataclass
 class ManifestValidation:
     """Per-reference outcomes of a manifest check."""
@@ -153,31 +125,32 @@ def validate_manifest_references(signature: Element, *,
     """Application-level validation of a signature's ds:Manifest.
 
     Core validation (``Verifier.verify``) establishes that the manifest
-    list is authentic; this function then checks the per-target digests
-    — all of them, or just *only_uris* (the player checks what it is
-    about to use).  Digests of pure-canonicalization same-document
-    targets are served from *cache* (the process-wide C14N/digest
-    cache by default), so selective checks repeated at playback time
-    do not re-canonicalize unchanged subtrees.
+    lists are authentic; this function then checks the per-target
+    digests of every manifest :func:`signed_manifests` names (the
+    entries :func:`signature_coverage` counts) — all of them, or just
+    *only_uris* (the player checks what it is about to use).  Digests
+    of pure-canonicalization same-document targets are served from
+    *cache* (the process-wide C14N/digest cache by default), so
+    selective checks repeated at playback time do not re-canonicalize
+    unchanged subtrees.
     """
     from repro.perf.cache import get_default_cache
     provider = provider or get_provider()
-    manifest_el = find_manifest(signature)
-    if manifest_el is None:
-        raise SignatureError("signature carries no ds:Manifest")
+    manifests = signed_manifests(signature)
+    if not manifests:
+        raise SignatureError("signature vouches for no ds:Manifest")
     context = ReferenceContext(
-        root=_top(signature), signature=signature, resolver=resolver,
+        root=top_element(signature), signature=signature, resolver=resolver,
         decryptor=decryptor,
         cache=cache if cache is not None else get_default_cache(),
     )
     validation = ManifestValidation()
-    for reference_el in manifest_el.child_elements():
-        if reference_el.local != "Reference":
-            continue
-        reference = Reference.from_element(reference_el)
-        if only_uris is not None and reference.uri not in only_uris:
-            continue
-        validation.results.append(
-            check_reference(reference, context, provider)
-        )
+    for manifest_el in manifests:
+        for reference_el in manifest_entries(manifest_el):
+            reference = Reference.from_element(reference_el)
+            if only_uris is not None and reference.uri not in only_uris:
+                continue
+            validation.results.append(
+                check_reference(reference, context, provider)
+            )
     return validation

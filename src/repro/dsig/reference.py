@@ -10,7 +10,7 @@ loader).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import ReferenceError_, ReproError, SignatureError
 from repro.perf import metrics
@@ -23,10 +23,22 @@ from repro.xmlcore.c14n import ALL_C14N_ALGORITHMS, C14N
 from repro.xmlcore.tree import Element
 from repro.dsig import algorithms
 from repro.dsig.transforms import (
-    Transform, TransformContext, node_path, stream_transform_octets,
+    DECRYPT_BINARY, DECRYPT_XML, ENVELOPED_SIGNATURE, Transform,
+    TransformContext, node_path, stream_transform_octets,
 )
 
 Resolver = Callable[[str], bytes]
+
+#: ``Type`` of a ds:Reference whose target is a ds:Manifest (§5.1).
+MANIFEST_TYPE = "http://www.w3.org/2000/09/xmldsig#Manifest"
+
+#: Transforms after which a reference still vouches for the whole
+#: subtree it names: canonicalization serializes it, the enveloped
+#: transform drops only the signature, and decryption only reveals
+#: plaintext.  XPath and base64 may select or keep less.
+COVERING_TRANSFORMS = frozenset(ALL_C14N_ALGORITHMS + (
+    ENVELOPED_SIGNATURE, DECRYPT_XML, DECRYPT_BINARY,
+))
 
 
 @dataclass
@@ -81,14 +93,8 @@ class Reference:
         digest_value_el = node.first_child("DigestValue", DSIG_NS)
         if digest_method_el is None or digest_value_el is None:
             raise SignatureError("ds:Reference missing digest method/value")
-        transforms: list[Transform] = []
-        transforms_el = node.first_child("Transforms", DSIG_NS)
-        if transforms_el is not None:
-            transforms = [
-                Transform.from_element(t)
-                for t in transforms_el.child_elements()
-                if t.local == "Transform"
-            ]
+        transforms = [Transform.from_element(t)
+                      for t in _transform_elements(node)]
         digest_text = digest_value_el.text_content()
         return cls(
             uri=node.get("URI"),
@@ -160,7 +166,12 @@ def dereference(reference: Reference,
             tcontext.signature_path = node_path(context.signature)
         if uri == "":
             return working_root, tcontext
-        return _unique_element_by_id(working_root, uri[1:]), tcontext
+        target = working_root.element_by_id(uri[1:])
+        if target is None:
+            raise ReferenceError_(
+                f"no element with Id {uri[1:]!r} in the document"
+            )
+        return target, tcontext
     if context.resolver is None:
         raise ReferenceError_(
             f"external reference {uri!r} but no resolver configured"
@@ -173,28 +184,6 @@ def dereference(reference: Reference,
         raise ReferenceError_(
             f"resolver failed for {uri!r}: {exc}"
         ) from exc
-
-
-def _unique_element_by_id(root: Element, value: str) -> Element:
-    """Resolve ``#value`` to the *single* element carrying that Id.
-
-    Duplicate Id attributes are the XML signature wrapping vector: an
-    attacker plants a second element with the signed Id and hopes the
-    verifier digests one while the application executes the other.
-    Resolution therefore refuses ambiguous documents outright instead
-    of silently returning the first match in document order.
-    """
-    matches = root.get_elements_by_id(value, limit=2)
-    if not matches:
-        raise ReferenceError_(
-            f"no element with Id {value!r} in the document"
-        )
-    if len(matches) > 1:
-        raise ReferenceError_(
-            f"duplicate Id {value!r}: multiple elements carry it; "
-            "refusing ambiguous reference (wrapping defence)"
-        )
-    return matches[0]
 
 
 def _fast_path_target(reference: Reference,
@@ -227,9 +216,10 @@ def _fast_path_target(reference: Reference,
         return None
     if uri == "":
         return context.root
-    # Shares the duplicate-Id refusal with the general path: the fast
-    # path must never be more permissive than a full dereference.
-    return _unique_element_by_id(context.root, uri[1:])
+    # The tree's resolver refuses a duplicate Id here as in the general
+    # path, so the fast path is never more permissive than a full
+    # dereference; an absent Id falls through to that path's error.
+    return context.root.element_by_id(uri[1:])
 
 
 def compute_reference_digest(reference: Reference,
@@ -323,3 +313,93 @@ def check_reference(reference: Reference, context: ReferenceContext,
     if not constant_time_equal(actual, reference.digest_value):
         return ReferenceResult(reference.uri, False, "digest mismatch")
     return ReferenceResult(reference.uri, True)
+
+
+def top_element(node: Element) -> Element:
+    """The top element of *node*'s tree (a signature's document)."""
+    while isinstance(node.parent, Element):
+        node = node.parent
+    return node
+
+
+def signature_coverage(signature: Element
+                       ) -> Iterator[tuple[Element, Element | None]]:
+    """The one coverage rule, read by the player and the auditor.
+
+    Yields ``(reference, target)`` for each SignedInfo ds:Reference
+    and, after each one that names a manifest of
+    :func:`signed_manifests`, for each entry of that manifest.
+    *target* is the element whose whole subtree the reference vouches
+    for (the root for ``URI=""``, the one element carrying the Id for
+    ``#id``) when every transform is in :data:`COVERING_TRANSFORMS`,
+    else ``None``: an XPath or base64 step, an external URI, or an
+    absent or ambiguous Id vouches for nothing.  Digests are
+    :func:`check_reference`'s job.
+    """
+    root = top_element(signature)
+    for reference, target in _signed_info_coverage(signature, root):
+        yield reference, target
+        if _names_manifest(reference, target):
+            for entry in manifest_entries(target):
+                yield entry, _vouched_target(entry, root)
+
+
+def signed_manifests(signature: Element) -> list[Element]:
+    """The ds:Manifests whose entries *signature* vouches for.
+
+    Each is the whole target of a Manifest-typed SignedInfo reference,
+    by the rule of :func:`signature_coverage`, which yields exactly
+    their entries; ds:Manifest validation checks the same entries.  A
+    manifest named from anywhere else (a ds:Object, another manifest)
+    or through an ambiguous Id is none of them.
+    """
+    root = top_element(signature)
+    return [target for reference, target
+            in _signed_info_coverage(signature, root)
+            if _names_manifest(reference, target)]
+
+
+def manifest_entries(manifest: Element) -> list[Element]:
+    """The ds:Reference entries of a ds:Manifest, in order."""
+    return [entry for entry in manifest.child_elements()
+            if entry.matches("Reference", DSIG_NS)]
+
+
+def _signed_info_coverage(signature: Element, root: Element
+                          ) -> Iterator[tuple[Element, Element | None]]:
+    signed_info = signature.first_child("SignedInfo", DSIG_NS)
+    if signed_info is None:
+        return
+    for reference in signed_info.child_elements():
+        if reference.matches("Reference", DSIG_NS):
+            yield reference, _vouched_target(reference, root)
+
+
+def _names_manifest(reference: Element, target: Element | None) -> bool:
+    return (reference.get("Type") == MANIFEST_TYPE and target is not None
+            and target.matches("Manifest", DSIG_NS))
+
+
+def _transform_elements(reference: Element) -> list[Element]:
+    """The ds:Transform steps of *reference*, read as verification
+    reads them."""
+    transforms_el = reference.first_child("Transforms", DSIG_NS)
+    if transforms_el is None:
+        return []
+    return [t for t in transforms_el.child_elements()
+            if t.local == "Transform"]
+
+
+def _vouched_target(reference: Element, root: Element) -> Element | None:
+    for transform in _transform_elements(reference):
+        if transform.get("Algorithm") not in COVERING_TRANSFORMS:
+            return None
+    uri = reference.get("URI")
+    if uri == "":
+        return root
+    if not uri or not uri.startswith("#"):
+        return None
+    try:
+        return root.element_by_id(uri[1:])
+    except ReferenceError_:
+        return None

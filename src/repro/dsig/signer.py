@@ -24,17 +24,10 @@ from repro.certs.authority import SigningIdentity
 from repro.dsig import algorithms
 from repro.dsig.keyinfo import KeyInfo
 from repro.dsig.reference import (
-    Reference, ReferenceContext, compute_reference_digest,
+    Reference, ReferenceContext, compute_reference_digest, top_element,
 )
 from repro.dsig.signedinfo import SignedInfo
 from repro.dsig.transforms import ENVELOPED_SIGNATURE, Transform
-
-
-def _top_element(node: Element) -> Element:
-    current = node
-    while isinstance(current.parent, Element):
-        current = current.parent
-    return current
 
 
 class Signer:
@@ -186,7 +179,7 @@ class Signer:
         signature = self._build_signature(signed_info, signature_id)
         if parent is not None:
             parent.append(signature)
-            document_root = _top_element(parent)
+            document_root = top_element(parent)
         self._finalize(
             signature, document_root=document_root, resolver=resolver,
             decryptor=decryptor, namespaces=namespaces,

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import SignatureError, XMLError
 from repro.xmlcore import (
-    C14N, C14N_WITH_COMMENTS, DSIG_NS, EXC_C14N, EXC_C14N_WITH_COMMENTS,
-    canonicalize, element, find_all,
+    C14N, DSIG_NS, EXC_C14N, canonicalize, element, find_all,
 )
-from repro.xmlcore.c14n import canonicalize_into
+from repro.xmlcore.c14n import ALL_C14N_ALGORITHMS, canonicalize_into
 from repro.xmlcore.tree import Element, Node
 from repro.primitives.encoding import b64decode
 
@@ -40,11 +39,7 @@ DECRYPT_XML = "http://www.w3.org/2002/07/decrypt#XML"
 DECRYPT_BINARY = "http://www.w3.org/2002/07/decrypt#Binary"
 DECRYPT_TRANSFORM_NS = "http://www.w3.org/2002/07/decrypt#"
 
-_C14N_ALGORITHMS = (
-    C14N, C14N_WITH_COMMENTS, EXC_C14N, EXC_C14N_WITH_COMMENTS,
-)
-
-KNOWN_TRANSFORMS = _C14N_ALGORITHMS + (
+KNOWN_TRANSFORMS = ALL_C14N_ALGORITHMS + (
     ENVELOPED_SIGNATURE, BASE64, XPATH, DECRYPT_XML, DECRYPT_BINARY,
 )
 
@@ -152,27 +147,18 @@ class TransformContext:
     namespaces: dict[str, str] = field(default_factory=dict)
 
 
-def apply_transforms(value, transforms: list[Transform],
-                     context: TransformContext) -> bytes:
-    """Run *value* through *transforms* and finish with canonical octets."""
-    for transform in transforms:
-        value = _apply_one(value, transform, context)
-    return _to_octets(value)
-
-
 def stream_transform_octets(value, transforms: list[Transform],
                             context: TransformContext, write,
                             *, guard=None) -> int:
-    """Run the pipeline and stream the final octets into *write*.
+    """Run *value* through *transforms*; stream the final octets into *write*.
 
-    The zero-copy twin of :func:`apply_transforms`: subtree-selecting
-    transforms still pass nodes down the chain, but the terminal
-    canonicalization (explicit trailing c14n transform, or the implicit
-    node-set-to-octets step) streams chunked UTF-8 straight into the
-    sink instead of materialising the canonical string.  *guard* is
-    charged per emitted chunk.  Returns the octet count.
+    Subtree-selecting transforms pass nodes down the chain, and the
+    terminal canonicalization (explicit trailing c14n transform, or the
+    implicit node-set-to-octets step) streams chunked UTF-8 straight
+    into the sink instead of materialising the canonical string.
+    *guard* is charged per emitted chunk.  Returns the octet count.
     """
-    if transforms and transforms[-1].algorithm in _C14N_ALGORITHMS:
+    if transforms and transforms[-1].algorithm in ALL_C14N_ALGORITHMS:
         last = transforms[-1]
         for transform in transforms[:-1]:
             value = _apply_one(value, transform, context)
@@ -208,18 +194,6 @@ def stream_transform_octets(value, transforms: list[Transform],
     )
 
 
-def _to_octets(value) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, Element):
-        return canonicalize(value, C14N)
-    if isinstance(value, list):
-        return b"".join(canonicalize(node, C14N) for node in value)
-    raise SignatureError(
-        f"cannot convert {type(value).__name__} to octets"
-    )
-
-
 def _require_node(value, algorithm: str) -> Element:
     if isinstance(value, list):
         if len(value) != 1:
@@ -238,7 +212,7 @@ def _require_node(value, algorithm: str) -> Element:
 def _apply_one(value, transform: Transform, context: TransformContext):
     algorithm = transform.algorithm
 
-    if algorithm in _C14N_ALGORITHMS:
+    if algorithm in ALL_C14N_ALGORITHMS:
         if isinstance(value, list):
             return b"".join(
                 canonicalize(n, algorithm, transform.inclusive_prefixes)

@@ -23,7 +23,7 @@ from repro.certs.store import TrustStore, ValidationResult
 from repro.dsig import algorithms
 from repro.dsig.keyinfo import KeyInfo
 from repro.dsig.reference import (
-    ReferenceContext, ReferenceResult, check_reference,
+    ReferenceContext, ReferenceResult, check_reference, top_element,
 )
 from repro.dsig.signedinfo import SignedInfo
 
@@ -74,13 +74,6 @@ class VerificationReport:
                 f"certificate chain: {self.certificate_validation.reason}"
             )
         raise VerificationError("; ".join(reasons) or "verification failed")
-
-
-def _top_element(node: Element) -> Element:
-    current = node
-    while isinstance(current.parent, Element):
-        current = current.parent
-    return current
 
 
 class Verifier:
@@ -184,7 +177,7 @@ class Verifier:
             report.error = "not a ds:Signature element"
             return report
         if document_root is None:
-            document_root = _top_element(signature)
+            document_root = top_element(signature)
 
         signed_info_el = signature.first_child("SignedInfo", DSIG_NS)
         value_el = signature.first_child("SignatureValue", DSIG_NS)
@@ -227,7 +220,7 @@ class Verifier:
             # scope of SignedInfo's inherited namespace context.
             try:
                 octets = self.cache.canonical_octets(
-                    _top_element(signed_info_el), signed_info_el,
+                    top_element(signed_info_el), signed_info_el,
                     signed_info.c14n_method,
                     signed_info.inclusive_prefixes,
                     lambda: canonicalize(

@@ -54,7 +54,7 @@ class C14NDigestCache:
     certificate-chain verdicts and public-key signature verdicts.  Ids
     are not memoized here: references resolve through the tree's own
     revision-stamped Id index
-    (:meth:`~repro.xmlcore.tree.Element.get_elements_by_id`).
+    (:meth:`~repro.xmlcore.tree.Element.element_by_id`).
 
     Args:
         max_entries: LRU bound per table (octets and digests are

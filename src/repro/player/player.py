@@ -48,10 +48,12 @@ class DiscSession:
     authenticated: bool
     signature_reports: dict = field(default_factory=dict)
     manifest_validations: dict = field(default_factory=dict)
-    # Signature coverage: which fragment Ids valid signatures vouch
-    # for, and whether any valid signature covers the whole document.
-    # Used to defeat signature-wrapping: injected content that no
-    # signature covers must not run as trusted.
+    # Signature coverage on an authenticated disc, by the one rule of
+    # :func:`repro.dsig.reference.signature_coverage`: the Ids whose
+    # subtrees the signatures and manifest entries vouch for, and
+    # whether one vouches for the whole document.  Used to defeat
+    # signature wrapping: injected content that no signature covers
+    # must not run as trusted.
     signed_ids: set = field(default_factory=set)
     whole_document_signed: bool = False
 
@@ -62,10 +64,8 @@ class DiscSession:
         from repro.xmlcore.tree import Element
         node = element
         while isinstance(node, Element):
-            for attr in node.attrs:
-                if attr.local in ("Id", "ID", "id") \
-                        and attr.value in self.signed_ids:
-                    return True
+            if not self.signed_ids.isdisjoint(node.id_values()):
+                return True
             node = node.parent
         return False
 
@@ -170,29 +170,45 @@ class DiscPlayer:
         authenticated = bool(reports) and all(
             report.valid for report in reports.values()
         )
+        from repro.dsig.manifest import validate_manifest_references
+        from repro.dsig.reference import (
+            signature_coverage, signed_manifests,
+        )
+        from repro.xmlcore import DSIG_NS
+        signatures = [child for child in cluster_element.child_elements()
+                      if child.matches("Signature", DSIG_NS)]
         # Manifest-signed discs (ds:Manifest): core validation covered
         # the reference list; check the listed entries too for full
         # disc authentication.  (Applications may additionally do
         # selective per-track checks at playback time.)
         manifest_validations = {}
         if authenticated:
-            from repro.dsig.manifest import (
-                find_manifest, validate_manifest_references,
-            )
-            from repro.xmlcore import DSIG_NS
-            for child in cluster_element.child_elements():
-                if child.local != "Signature" or child.ns_uri != DSIG_NS:
-                    continue
-                if find_manifest(child) is None:
+            for signature in signatures:
+                if not signed_manifests(signature):
                     continue
                 validation = validate_manifest_references(
-                    child, resolver=image.resolver,
+                    signature, resolver=image.resolver,
                     decryptor=self.pipeline._decryptor(),
                     provider=self.provider,
                 )
-                manifest_validations[child.get("Id") or "?"] = validation
+                manifest_validations[signature.get("Id") or "?"] = \
+                    validation
                 if not validation.all_valid:
                     authenticated = False
+        # Signature coverage map (wrapping defence).  On an
+        # authenticated disc every signature has verified, and so has
+        # every entry of the manifests it signs: the entries checked
+        # above and the entries the map reads are those of the same
+        # signed_manifests, so the map is what they vouch for.
+        signed_ids: set[str] = set()
+        whole_document_signed = False
+        if authenticated:
+            for signature in signatures:
+                for reference, target in signature_coverage(signature):
+                    if target is cluster_element:
+                        whole_document_signed = True
+                    elif target is not None:
+                        signed_ids.add(reference.get("URI")[1:])
         # Resolve clip durations for the scheduler.
         durations: dict[str, float] = {}
         cluster = InteractiveCluster.from_element(cluster_element)
@@ -204,25 +220,6 @@ class DiscPlayer:
                 durations[info.stream_uri] = info.duration_s
                 durations[info.clip_id] = info.duration_s
         self.engine.clip_durations = durations
-        # Signature coverage map (wrapping-attack defence): collect the
-        # fragment Ids that *valid* signatures and manifest entries
-        # actually vouch for.
-        signed_ids: set[str] = set()
-        whole_document_signed = False
-        for report in reports.values():
-            if not report.valid:
-                continue
-            for result in report.references:
-                if result.uri == "":
-                    whole_document_signed = True
-                elif result.uri and result.uri.startswith("#"):
-                    signed_ids.add(result.uri[1:])
-        for validation in manifest_validations.values():
-            for result in validation.results:
-                if result.valid and result.uri \
-                        and result.uri.startswith("#"):
-                    signed_ids.add(result.uri[1:])
-
         self._session = DiscSession(
             image=image, cluster=cluster,
             cluster_element=cluster_element,

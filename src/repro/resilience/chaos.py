@@ -501,15 +501,13 @@ def _execute(name: str, thunk) -> ChaosOutcome:
 
 
 def run_chaos(seed: int, *, iterations: int = 1,
-              limits: ResourceLimits = CHAOS_LIMITS,
-              attacks: dict | None = None) -> ChaosReport:
+              limits: ResourceLimits = CHAOS_LIMITS) -> ChaosReport:
     """Run every attack *iterations* times under one seeded stream."""
     world = build_world()
     rng = random.Random(seed)
-    chosen = attacks if attacks is not None else ATTACKS
     report = ChaosReport(seed=seed, iterations=iterations)
     for _ in range(iterations):
-        for name, generator in chosen.items():
+        for name, generator in ATTACKS.items():
             report.outcomes.append(_execute(
                 name, lambda: generator(world, limits, rng)
             ))

@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
 
 def cmd_encrypt(args) -> int:
     root = parse_element(_read(args.document))
-    target = root.get_element_by_id(args.target_id)
+    target = root.element_by_id(args.target_id)
     if target is None:
         print(f"no element with Id {args.target_id!r}", file=sys.stderr)
         return 2
@@ -288,10 +288,7 @@ def cmd_inspect(args) -> int:
     for data in encrypted:
         print(f"  - Id={data.get('Id') or '-'} "
               f"Type={(data.get('Type') or '-').rsplit('#', 1)[-1]}")
-    ids = sorted(
-        attr.value for el in root.iter() for attr in el.attrs
-        if attr.local in ("Id", "ID", "id")
-    )
+    ids = sorted(value for el in root.iter() for value in el.id_values())
     print(f"addressable Ids: {ids}")
     return 0
 

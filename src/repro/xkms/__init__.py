@@ -15,15 +15,13 @@ from repro.xkms.messages import (
     KeyBinding, XKMSRequest, XKMSResult,
 )
 from repro.xkms.server import TrustServer, authentication_proof
-from repro.xkms.service import (
-    AsyncTrustService, busy_fault_payload, executor_runner, inline_runner,
-)
+from repro.xkms.service import AsyncTrustService, busy_fault_payload
 
 __all__ = [
     "XKMSClient", "TrustServer", "KeyBinding", "XKMSRequest", "XKMSResult",
     "authentication_proof",
     "AsyncXKMSClient", "AsyncTrustService", "MuxXKMSTransport",
-    "busy_fault_payload", "inline_runner", "executor_runner",
+    "busy_fault_payload",
     "RESULT_SUCCESS", "RESULT_NO_MATCH", "RESULT_REFUSED",
     "RESULT_SENDER_FAULT", "RESULT_RECEIVER_FAULT",
     "STATUS_VALID", "STATUS_INVALID", "STATUS_INDETERMINATE",

@@ -17,11 +17,8 @@ cached answer about that shard at once.  A revocation can never be
 served stale from the cache.
 
 The responder step itself is synchronous ``TrustServer`` code and runs
-through a pluggable *runner*.  The default runs it inline on the event
-loop — correct and deterministic for the in-memory store.  A
-deployment that attaches a :class:`~repro.resilience.durable`
-store (whose commits fsync) should supply
-:func:`executor_runner` so journal flushes happen off the loop.
+inline on the event loop: correct and deterministic for the in-memory
+store.
 """
 
 from __future__ import annotations
@@ -39,27 +36,6 @@ from repro.xkms.messages import (
     RESULT_RECEIVER_FAULT, RESULT_SENDER_FAULT, XKMSRequest, XKMSResult,
 )
 from repro.xkms.server import TrustServer
-
-
-async def inline_runner(step, *args):
-    """Run a responder *step* directly on the event loop (default)."""
-    return step(*args)
-
-
-def executor_runner(executor):
-    """A runner that offloads the responder step to *executor*.
-
-    Use when a shard has a durable store attached: its fsync-bearing
-    commits then run off the event loop instead of stalling every
-    in-flight session behind a disk flush.
-    """
-    import asyncio
-
-    async def run(step, *args):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(executor, step, *args)
-
-    return run
 
 
 def busy_fault_payload(error: BaseException, frame: MuxFrame) -> bytes:
@@ -90,9 +66,6 @@ class AsyncTrustService:
             shards sharing *registration_secrets*.
         clock: the injected clock deadlines are measured on.
         limits: per-request XML resource quotas.
-        runner: ``async (step, *args) -> result`` executing the
-            synchronous responder step; defaults to
-            :func:`inline_runner`.
         cache_capacity: bound on memoized Validate answers (0 disables
             the cache).
     """
@@ -100,7 +73,7 @@ class AsyncTrustService:
     def __init__(self, shards=2, *, clock,
                  registration_secrets: dict[str, bytes] | None = None,
                  limits: ResourceLimits | None = None,
-                 runner=None, cache_capacity: int = 256):
+                 cache_capacity: int = 256):
         self.clock = clock
         self.limits = limits or ResourceLimits.default()
         if isinstance(shards, int):
@@ -117,14 +90,13 @@ class AsyncTrustService:
             self.shards = list(shards)
             if not self.shards:
                 raise XKMSError("a trust service needs >= 1 shard")
-        self._runner = runner or inline_runner
         self.cache_capacity = cache_capacity
         self.cache_stats = ServiceCacheStats()
         self._cache: dict = {}
-        # The cache is read on the event loop but invalidated by
-        # generation bumps that other threads (operator console, an
-        # executor runner) may drive: guard it like the rest of the
-        # shared surface (DESIGN §13).
+        # The cache is read and filled on the event loop, while the
+        # operator console (register_binding / revoke_binding) may run
+        # on another thread and bump a shard's generation: guard it
+        # like the rest of the shared surface (DESIGN §13).
         self._cache_lock = threading.Lock()
 
     # -- routing ---------------------------------------------------------------------
@@ -235,9 +207,8 @@ class AsyncTrustService:
                                 request_id=request.request_id)
             return result.to_xml().encode("utf-8")
         shard = self.shards[index]
-        runner = self._runner
         try:
-            result = await runner(shard.handle, request)
+            result = shard.handle(request)
         except XKMSError as exc:
             with shard._lock:
                 shard.audit_log.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.errors import NamespaceError, XMLError
+from repro.errors import NamespaceError, ReferenceError_, XMLError
 from repro.xmlcore.names import XML_NS, is_valid_name, split_qname
 
 _ID_ATTRIBUTE_NAMES = ("Id", "ID", "id")
@@ -396,38 +396,31 @@ class Element(Node):
                 parts.append(child.text_content())
         return "".join(parts)
 
-    def get_element_by_id(self, value: str) -> "Element | None":
-        """Find the descendant-or-self element whose Id/ID/id equals *value*.
+    def element_by_id(self, value: str) -> "Element | None":
+        """The one descendant-or-self element whose Id/ID/id is *value*.
 
-        Returns the first match in document order.  Security-sensitive
-        callers (same-document signature references) must instead use
-        :meth:`get_elements_by_id` and treat multiple matches as an
-        error — silently taking the first match is the classic XML
-        signature wrapping vector.
+        The library's only Id resolver (``#id`` references, ds:Manifest
+        lookup, XPath ``id()``).  ``None`` when no element carries the
+        Id.  Several carrying it is the signature wrapping vector (a
+        planted decoy next to the signed original), so that raises
+        :class:`ReferenceError_` instead of taking the first match.
         """
-        matches = self._id_index().get(value)
-        return matches[0] if matches else None
+        matches = self.id_index().get(value)
+        if not matches:
+            return None
+        if len(matches) > 1:
+            raise ReferenceError_(
+                f"duplicate Id {value!r}: multiple elements carry it; "
+                "refusing ambiguous reference (wrapping defence)"
+            )
+        return matches[0]
 
-    def get_elements_by_id(self, value: str,
-                           limit: int = 0) -> list["Element"]:
-        """All descendant-or-self elements whose Id/ID/id equals *value*.
+    def id_values(self) -> list[str]:
+        """The values of this element's own Id/ID/id attributes."""
+        return [attr.value for attr in self.attrs
+                if attr.local in _ID_ATTRIBUTE_NAMES]
 
-        A well-formed signed document has at most one; more than one
-        means the Id landscape is ambiguous (wrapping attack surface).
-        With *limit* > 0, at most that many matches are returned
-        (callers probing for ambiguity only need two).  Lookups ride a
-        revision-stamped full-subtree Id index cached on this element:
-        a signature with N references costs one scan instead of N, and
-        any mutation in the subtree stamps this element a fresh
-        revision, dropping the index — a stale map can never resolve an
-        Id in a tampered tree.
-        """
-        matches = self._id_index().get(value, ())
-        if limit and len(matches) > limit:
-            return list(matches[:limit])
-        return list(matches)
-
-    def _id_index(self) -> dict[str, tuple["Element", ...]]:
+    def id_index(self) -> dict[str, tuple["Element", ...]]:
         """Id → elements (document order) for this subtree, memoized.
 
         The memo is keyed on this element's revision stamp, which every

@@ -10,7 +10,9 @@ a full XPath 1.0 engine this implements the practically used subset:
 * attribute selection ``@name`` as the final step
 * predicates: positional ``[3]``, attribute existence ``[@a]``,
   attribute equality ``[@a='v']``, child-text equality ``[name='v']``
-* the ``id('value')`` function as the first step
+* the ``id('value')`` function as the first step, resolved by
+  :meth:`~repro.xmlcore.tree.Element.element_by_id` (an Id that several
+  elements carry raises, as a ``#id`` reference does)
 
 Namespace prefixes in expressions resolve through a caller-supplied
 mapping; unprefixed names match local names in *any* namespace, which is
@@ -187,7 +189,7 @@ def find_all(context: Node, expression: str,
         if step.axis == "id":
             base = doc_root if doc_root is not None else \
                 (current[0] if current else None)
-            found = base.get_element_by_id(step.name) if base else None
+            found = base.element_by_id(step.name) if base else None
             current = [found] if found is not None else []
             at_document_level = False
             continue

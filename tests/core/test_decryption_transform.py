@@ -36,7 +36,7 @@ def doc():
 def test_decrypts_descendants(encryptor, decryptor, key):
     root = doc()
     original = canonicalize(root)
-    encryptor.encrypt_element(root.get_element_by_id("a1"), key,
+    encryptor.encrypt_element(root.element_by_id("a1"), key,
                               key_name="k", data_id="e1")
     out = apply_decryption_transform(root, decryptor)
     assert canonicalize(out) == original
@@ -44,21 +44,21 @@ def test_decrypts_descendants(encryptor, decryptor, key):
 
 def test_except_regions_left_encrypted(encryptor, decryptor, key):
     root = doc()
-    encryptor.encrypt_element(root.get_element_by_id("a1"), key,
+    encryptor.encrypt_element(root.element_by_id("a1"), key,
                               key_name="k", data_id="e1")
-    encryptor.encrypt_element(root.get_element_by_id("b1"), key,
+    encryptor.encrypt_element(root.element_by_id("b1"), key,
                               key_name="k", data_id="e2")
     out = apply_decryption_transform(root, decryptor,
                                      except_uris=("#e2",))
-    assert out.get_element_by_id("a1") is not None   # decrypted
-    assert out.get_element_by_id("b1") is None       # still hidden
+    assert out.element_by_id("a1") is not None   # decrypted
+    assert out.element_by_id("b1") is None       # still hidden
     remaining = out.findall("EncryptedData", XMLENC_NS)
     assert [e.get("Id") for e in remaining] == ["e2"]
 
 
 def test_apex_encrypted_data_replaced(encryptor, decryptor, key):
     holder = doc()
-    target = holder.get_element_by_id("a1")
+    target = holder.element_by_id("a1")
     enc = encryptor.encrypt_element(target, key, key_name="k",
                                     data_id="e1")
     out = apply_decryption_transform(enc, decryptor)
@@ -68,7 +68,7 @@ def test_apex_encrypted_data_replaced(encryptor, decryptor, key):
 
 def test_apex_excepted_stays(encryptor, decryptor, key):
     holder = doc()
-    enc = encryptor.encrypt_element(holder.get_element_by_id("a1"), key,
+    enc = encryptor.encrypt_element(holder.element_by_id("a1"), key,
                                     key_name="k", data_id="e1")
     out = apply_decryption_transform(enc, decryptor,
                                      except_uris=("#e1",))
@@ -103,7 +103,7 @@ def test_nested_super_encryption(encryptor, decryptor, key, rng):
     inner = SymmetricKey(rng.read(16))
     decryptor.add_key("inner", inner)
     encryptor.encrypt_element(root.find("v"), inner, key_name="inner")
-    encryptor.encrypt_element(root.get_element_by_id("a1"), key,
+    encryptor.encrypt_element(root.element_by_id("a1"), key,
                               key_name="k")
     out = apply_decryption_transform(root, decryptor)
     assert canonicalize(out) == original
@@ -128,7 +128,7 @@ def test_transform_in_signature_pipeline(pki, trust_store, encryptor,
     signature = signer.sign_references([reference], parent=root,
                                        decryptor=decryptor)
     # Post-signing encryption of <a>.
-    encryptor.encrypt_element(root.get_element_by_id("a1"), key,
+    encryptor.encrypt_element(root.element_by_id("a1"), key,
                               key_name="k", data_id="e1")
     verifier = Verifier(trust_store=trust_store, require_trusted_key=True)
     assert verifier.verify(signature, decryptor=decryptor).valid

@@ -90,6 +90,37 @@ def test_encrypt_before_sign_except_list(authoring, playback):
     assert "secretAlgorithm" in application.manifest.scripts[0].source
 
 
+def test_package_sealed_to_another_player_degrades(authoring, trust_store):
+    """Code encrypted before signing to another device key: the
+    signature verifies, the unlock does not, and the download is barred
+    instead of escaping as a DecryptionError."""
+    from repro.network import Channel, ContentServer, DownloadClient
+    from repro.player import DiscPlayer
+
+    manifest = build_manifest()
+    package = authoring.build_package(
+        manifest, pre_encrypt_ids=(manifest.code_id,),
+    )
+    server = ContentServer()
+    server.publish("/apps/sealed.pkg", package.data)
+    client = DownloadClient(server, Channel())
+    other_key = generate_keypair(
+        1024, DeterministicRandomSource(b"another-device"))
+    player = DiscPlayer(trust_store, device_key=other_key)
+
+    assert player.download_application(
+        client, "/apps/sealed.pkg", secure=False, optional=True,
+    ) is None
+    downloads = player.degradation.for_component("download")
+    assert [event.resource for event in downloads] == ["/apps/sealed.pkg"]
+    unlocks = player.degradation.for_component("package")
+    assert [event.resource for event in unlocks] == ["decrypt"]
+    with pytest.raises(ApplicationRejectedError,
+                       match="does not decrypt for this player"):
+        player.download_application(client, "/apps/sealed.pkg",
+                                    secure=False)
+
+
 def test_tampered_package_barred(authoring, playback):
     package = authoring.build_package(build_manifest())
     for attack in (

@@ -12,12 +12,14 @@ import pytest
 
 from repro.analysis import ArtifactAuditor, audit_paths
 from repro.disc import (
-    ApplicationManifest, CLUSTER_PATH, DiscAuthor, DiscImage,
+    BD_ROM, ApplicationManifest, DiscAuthor, DiscImage,
 )
 from repro.errors import DiscError
 from repro.player import DiscPlayer
 from repro.primitives.random import DeterministicRandomSource
 from repro.xmlcore import parse_element
+
+CLUSTER = BD_ROM.cluster_path()
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -29,7 +31,7 @@ class CountingImage(DiscImage):
     cluster_reads = 0
 
     def read(self, path: str) -> bytes:
-        if path == CLUSTER_PATH:
+        if path == CLUSTER:
             self.cluster_reads += 1
         return super().read(path)
 
@@ -54,11 +56,11 @@ def mastered_files() -> dict[str, bytes]:
 def variant(name: str) -> CountingImage:
     files = dict(mastered_files())
     if name == "unparsable-cluster":
-        files[CLUSTER_PATH] = files[CLUSTER_PATH][:40]
+        files[CLUSTER] = files[CLUSTER][:40]
     elif name == "not-a-cluster":
-        files[CLUSTER_PATH] = b'<track xmlns="urn:x"/>'
+        files[CLUSTER] = b'<track xmlns="urn:x"/>'
     elif name == "missing-cluster":
-        del files[CLUSTER_PATH]
+        del files[CLUSTER]
     elif name == "missing-clip":
         files = {path: data for path, data in files.items()
                  if not path.endswith((".m2ts", ".clpi"))}

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.disc import (
-    ApplicationManifest, CLUSTER_PATH, DiscAuthor, DiscImage,
-    TS_PACKET_SIZE, clipinfo_path, generate_transport_stream,
-    inspect_transport_stream, path_to_uri, stream_path, uri_to_path,
+    BD_ROM, ApplicationManifest, DiscAuthor, DiscImage, TS_PACKET_SIZE,
+    generate_transport_stream, inspect_transport_stream,
 )
 from repro.errors import AuthoringError, DiscError, DiscFormatError
 from repro.xmlcore import parse_element
@@ -50,11 +49,11 @@ def test_ts_generation_rejects_bad_args(rng):
 
 
 def test_uri_mapping():
-    assert path_to_uri("BDMV/STREAM/00001.m2ts") == \
+    assert BD_ROM.path_to_uri("BDMV/STREAM/00001.m2ts") == \
         "bd://BDMV/STREAM/00001.m2ts"
-    assert uri_to_path("bd://x/y") == "x/y"
+    assert BD_ROM.uri_to_path("bd://x/y") == "x/y"
     with pytest.raises(DiscFormatError):
-        uri_to_path("http://elsewhere/")
+        BD_ROM.uri_to_path("http://elsewhere/")
 
 
 def test_image_file_operations():
@@ -94,8 +93,8 @@ def test_authoring_end_to_end(rng):
     assert len(cluster.av_tracks()) == 1
     assert image.clip_info("00001").duration_s == 4.0
     assert inspect_transport_stream(image.stream("00002")).ok
-    assert image.resolver(path_to_uri(stream_path("00001"))) == \
-        image.stream("00001")
+    uri = BD_ROM.path_to_uri(BD_ROM.stream_path("00001"))
+    assert image.resolver(uri) == image.stream("00001")
 
 
 def test_authoring_rejects_bad_clip(rng):
@@ -106,9 +105,9 @@ def test_authoring_rejects_bad_clip(rng):
 
 @pytest.mark.parametrize("target", ["cluster", "stream", "clip info"])
 def test_aux_file_may_not_overwrite_authored_content(rng, target):
-    path = {"cluster": CLUSTER_PATH,
-            "stream": stream_path("00001"),
-            "clip info": clipinfo_path("00001")}[target]
+    path = {"cluster": BD_ROM.cluster_path(),
+            "stream": BD_ROM.stream_path("00001"),
+            "clip info": BD_ROM.clipinfo_path("00001")}[target]
     author = _author(rng)
     author.add_aux_file(path, b"<not-a-cluster/>")
     with pytest.raises(AuthoringError,
@@ -147,7 +146,8 @@ def test_fs_roundtrip(tmp_path, rng):
     image.save_to_directory(str(tmp_path))
     again = DiscImage.load_from_directory(str(tmp_path))
     assert again.paths() == image.paths()
-    assert again.read(CLUSTER_PATH) == image.read(CLUSTER_PATH)
+    cluster = BD_ROM.cluster_path()
+    assert again.read(cluster) == image.read(cluster)
     assert again.total_bytes() == image.total_bytes()
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.dsig import Reference, Signer, Transform, Verifier
+from repro.dsig import Reference, Signer, Transform, Verifier, \
+    signed_manifests
 from repro.dsig.manifest import (
-    MANIFEST_TYPE, find_manifest, sign_with_manifest,
-    validate_manifest_references,
+    MANIFEST_TYPE, sign_with_manifest, validate_manifest_references,
 )
 from repro.errors import SignatureError
 from repro.xmlcore import C14N, DSIG_NS, parse_element
@@ -92,7 +92,7 @@ def test_selective_checking_only_uris(pki, cluster, resources):
 def test_tampering_the_manifest_breaks_core(pki, trust_store, cluster,
                                             resources):
     signature = _sign(pki, cluster, resources)
-    manifest_el = find_manifest(signature)
+    (manifest_el,) = signed_manifests(signature)
     reference_el = manifest_el.child_elements()[0]
     reference_el.set("URI", "#t2")  # redirect a reference
     verifier = Verifier(trust_store=trust_store, require_trusted_key=True)
@@ -102,7 +102,7 @@ def test_tampering_the_manifest_breaks_core(pki, trust_store, cluster,
 def test_markup_tampering_caught_by_manifest_check(pki, cluster,
                                                    resources):
     signature = _sign(pki, cluster, resources)
-    cluster.get_element_by_id("t1").find("v").children[0].data = "evil"
+    cluster.element_by_id("t1").find("v").children[0].data = "evil"
     validation = validate_manifest_references(
         signature, resolver=resources.__getitem__,
     )
@@ -115,7 +115,7 @@ def test_missing_manifest_raises(pki, cluster):
     plain = signer.sign_detached("#t1", parent=cluster)
     with pytest.raises(SignatureError, match="no ds:Manifest"):
         validate_manifest_references(plain)
-    assert find_manifest(plain) is None
+    assert signed_manifests(plain) == []
 
 
 def test_unknown_uri_lookup(pki, cluster, resources):

@@ -120,9 +120,9 @@ def test_detached_same_document(signer, verifier):
     signature = signer.sign_detached("#t1", parent=cluster)
     assert verifier.verify(signature).valid
     # Tampering t2 does not affect a signature over t1.
-    cluster.get_element_by_id("t2").find("x").children[0].data = "tampered"
+    cluster.element_by_id("t2").find("x").children[0].data = "tampered"
     assert verifier.verify(signature).valid
-    cluster.get_element_by_id("t1").find("x").children[0].data = "tampered"
+    cluster.element_by_id("t1").find("x").children[0].data = "tampered"
     assert not verifier.verify(signature).valid
 
 
@@ -158,7 +158,7 @@ def test_multiple_references(signer, verifier):
     ]
     signature = signer.sign_references(references, parent=cluster)
     assert verifier.verify(signature).valid
-    cluster.get_element_by_id("p2").find("v").children[0].data = "3"
+    cluster.element_by_id("p2").find("v").children[0].data = "3"
     report = verifier.verify(signature)
     assert not report.valid
     assert [r.valid for r in report.references] == [True, False]

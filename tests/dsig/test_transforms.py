@@ -4,13 +4,23 @@ import pytest
 
 from repro.dsig import Reference, Signer, Transform, Verifier
 from repro.dsig.transforms import (
-    BASE64, ENVELOPED_SIGNATURE, XPATH, TransformContext, apply_transforms,
-    node_at_path, node_path,
+    BASE64, ENVELOPED_SIGNATURE, XPATH, TransformContext, node_at_path,
+    node_path, stream_transform_octets,
 )
 from repro.errors import SignatureError
 from repro.primitives.encoding import b64encode
 from repro.xmlcore import C14N, EXC_C14N, canonicalize, parse_element
 from repro.xmlcore.tree import Element
+
+
+def apply_transforms(value, transforms, context) -> bytes:
+    """The pipeline's octets, collected from its streamed chunks."""
+    chunks: list[bytes] = []
+    total = stream_transform_octets(value, transforms, context,
+                                    chunks.append)
+    octets = b"".join(chunks)
+    assert total == len(octets)
+    return octets
 
 
 def test_node_path_roundtrip():

@@ -148,7 +148,7 @@ def build_corpus(pki) -> list:
             Reference(uri="#markup-1", transforms=[Transform(C14N)]),
         ], parent=root, decryptor=decryptor)
         Encryptor(rng=DeterministicRandomSource(b"differential")) \
-            .encrypt_element(root.get_element_by_id("code-1"), DISC_KEY,
+            .encrypt_element(root.element_by_id("code-1"), DISC_KEY,
                              key_name="disc", data_id="enc-code")
         return Document("sign-then-encrypt", root, target="markup-1",
                         neighbour="app", decryptor=decryptor)
@@ -168,7 +168,7 @@ def build_corpus(pki) -> list:
 def tamper(document: Document, kind: str) -> None:
     """Apply one tamper in place."""
     root = document.root
-    target = root.get_element_by_id(document.target)
+    target = root.element_by_id(document.target)
     if kind == "clean":
         return
     if kind == "text":
@@ -180,7 +180,7 @@ def tamper(document: Document, kind: str) -> None:
         root.append(target.copy())
     elif kind == "moved-id":
         target.delete_attr("Id")
-        root.get_element_by_id(document.neighbour).set("Id",
+        root.element_by_id(document.neighbour).set("Id",
                                                        document.target)
     elif kind == "signed-info":
         value = document.signatures()[0].find("DigestValue", DSIG_NS)
@@ -222,7 +222,7 @@ def batch(verifier: Verifier, document: Document) -> list:
 
 
 def manifest_lines(document: Document, cache) -> tuple:
-    signature = document.root.get_element_by_id(document.manifest)
+    signature = document.root.element_by_id(document.manifest)
     validation = validate_manifest_references(
         signature, resolver=document.resolver,
         decryptor=document.decryptor, cache=cache,

@@ -93,6 +93,16 @@ def test_encrypt_unknown_target(workspace):
                  "--target-id", "ghost", "--key-hex", KEY_HEX]) == 2
 
 
+def test_encrypt_refuses_an_ambiguous_target(tmp_path, capsys):
+    """Two elements carry the Id: refuse rather than encrypt the first."""
+    document = tmp_path / "dup.xml"
+    document.write_text(APP_XML.replace('Id="mk1"', 'Id="c1"'))
+    assert main(["encrypt", str(document), "--target-id", "c1",
+                 "--key-hex", KEY_HEX]) == 2
+    assert "duplicate Id 'c1'" in capsys.readouterr().err
+    assert document.read_text() == APP_XML.replace('Id="mk1"', 'Id="c1"')
+
+
 def test_decrypt_wrong_key_fails(workspace):
     document = workspace / "app.xml"
     encrypted = workspace / "enc.xml"

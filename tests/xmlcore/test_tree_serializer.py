@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NamespaceError, XMLError
+from repro.errors import NamespaceError, ReferenceError_, XMLError
 from repro.xmlcore import (
     C14N, canonicalize, element, parse_element, serialize,
     serialize_bytes,
@@ -74,12 +74,24 @@ def test_in_scope_namespaces_and_resolution():
     assert child.prefix_for("urn:b") == "b"
 
 
-def test_get_element_by_id():
+def test_element_by_id():
     root = parse_element('<r><a Id="one"/><b id="two"/><c ID="three"/></r>')
-    assert root.get_element_by_id("one").local == "a"
-    assert root.get_element_by_id("two").local == "b"
-    assert root.get_element_by_id("three").local == "c"
-    assert root.get_element_by_id("nope") is None
+    assert root.element_by_id("one").local == "a"
+    assert root.element_by_id("two").local == "b"
+    assert root.element_by_id("three").local == "c"
+    assert root.element_by_id("nope") is None
+    # One element with two Id attributes of one value is not ambiguous.
+    assert parse_element('<r><a Id="x" id="x"/></r>') \
+        .element_by_id("x").local == "a"
+
+
+def test_element_by_id_refuses_a_duplicate():
+    """Every Id lookup refuses an Id two elements carry (wrapping)."""
+    root = parse_element('<r><a Id="x"/><b><c id="x"/></b></r>')
+    with pytest.raises(ReferenceError_, match="duplicate Id 'x'"):
+        root.element_by_id("x")
+    assert [e.local for e in root.id_index()["x"]] == ["a", "c"]
+    assert root.find("b").element_by_id("x").local == "c"
 
 
 def test_iter_and_find():
