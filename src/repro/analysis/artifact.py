@@ -226,7 +226,7 @@ class ArtifactAuditor:
         The structural check and the audit share one parse of the
         cluster; a cluster the check could not parse is parsed again
         without quotas, so its own parse error is reported as well."""
-        cluster, problems = image.checked_cluster()
+        cluster, _, problems = image.checked_cluster()
         for problem in problems:
             self.result.findings.append(SEC041.finding(name, problem))
         cluster_path = image.cluster_path()

@@ -108,36 +108,39 @@ class DiscImage:
         Checks that the cluster parses and that every referenced clip
         has both its stream and its clip-information file.
         """
-        return self.checked_cluster()[1]
+        return self.checked_cluster()[2]
 
-    def checked_cluster(self) -> tuple[Element | None, list[str]]:
+    def checked_cluster(self) -> tuple[Element | None,
+                                       InteractiveCluster | None,
+                                       list[str]]:
         """Parse the cluster once and check the disc's structure on it.
 
-        Returns ``(element, problems)``: the cluster element as
-        :meth:`cluster_element` parses it (``None`` when the cluster is
-        missing or does not parse) and the problems
-        :meth:`validate_structure` reports.  A reader that goes on to
-        verify or audit the cluster uses this element rather than
-        parsing the cluster a second time.
+        Returns ``(element, cluster, problems)``: the cluster element
+        as :meth:`cluster_element` parses it (``None`` when the cluster
+        is missing or does not parse), the :class:`InteractiveCluster`
+        built from it (``None`` when it cannot be built) and the
+        problems :meth:`validate_structure` reports.  A reader that
+        goes on to verify, audit or play the cluster uses these rather
+        than parsing or building the cluster a second time.
         """
         path = self.layout.cluster_path()
         if not self.exists(path):
-            return None, [f"missing {path}"]
+            return None, None, [f"missing {path}"]
         try:
             element = self.cluster_element()
         except Exception as exc:
-            return None, [f"cluster does not parse: {exc}"]
+            return None, None, [f"cluster does not parse: {exc}"]
         try:
             cluster = InteractiveCluster.from_element(element)
         except Exception as exc:
-            return element, [f"cluster does not parse: {exc}"]
+            return element, None, [f"cluster does not parse: {exc}"]
         problems: list[str] = []
         for ref in cluster.clip_refs():
             if not self.exists(self.layout.stream_path(ref)):
                 problems.append(f"clip {ref}: missing stream file")
             if not self.exists(self.layout.clipinfo_path(ref)):
                 problems.append(f"clip {ref}: missing clip info")
-        return element, problems
+        return element, cluster, problems
 
     # -- host file system round trip -----------------------------------------------------
 

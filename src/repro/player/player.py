@@ -154,7 +154,7 @@ class DiscPlayer:
             return self._insert_disc(image)
 
     def _insert_disc(self, image: DiscImage) -> DiscSession:
-        cluster_element, problems = image.checked_cluster()
+        cluster_element, cluster, problems = image.checked_cluster()
         if problems:
             raise DiscError(
                 "disc rejected: " + "; ".join(problems)
@@ -211,7 +211,6 @@ class DiscPlayer:
                         signed_ids.add(reference.get("URI")[1:])
         # Resolve clip durations for the scheduler.
         durations: dict[str, float] = {}
-        cluster = InteractiveCluster.from_element(cluster_element)
         extension = image.layout.clipinfo_extension
         for path in image.paths():
             if path.endswith(extension):

@@ -1,99 +1,57 @@
 """Byte/text encodings used throughout the XML security stack.
 
 Base64 is the transfer encoding mandated by XMLDSig and XMLEnc for
-``DigestValue``, ``SignatureValue`` and ``CipherValue`` content; this
-module implements it from first principles (table-driven, no
-:mod:`base64` import) together with hexadecimal helpers and the
-big-endian integer conversions used by the RSA code.
+``DigestValue``, ``SignatureValue``, ``KeyValue`` and ``CipherValue``
+content.  It is a utility, not a provider algorithm: every provider
+runs the standard library's C codec (:mod:`binascii`) behind this
+module's contract (XML whitespace only, strict alphabet and padding,
+typed errors).  The hexadecimal helpers and the big-endian integer
+conversions used by the RSA code live here too.
 """
 
 from __future__ import annotations
 
+import binascii
+import re
+
 from repro.errors import CryptoError
 
 _B64_ALPHABET = (
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 )
-_B64_DECODE = {c: i for i, c in enumerate(_B64_ALPHABET)}
-
-# Pair tables: one lookup per 12 bits instead of one per 6.  Base64 is
-# on the signing hot path (every DigestValue/SignatureValue), so the
-# 4096-entry tables halve the per-byte work while staying table-driven.
-_E_PAIR = [a + b for a in _B64_ALPHABET for b in _B64_ALPHABET]
-_D_PAIR = {
-    a + b: i << 6 | j
-    for i, a in enumerate(_B64_ALPHABET)
-    for j, b in enumerate(_B64_ALPHABET)
-}
+_NOT_B64_ALPHABET = re.compile(r"[^A-Za-z0-9+/]")
 
 
 def b64encode(data: bytes) -> str:
     """Encode *data* as standard (RFC 4648) base64 without line breaks."""
-    pair = _E_PAIR
-    out = []
-    append = out.append
-    for i in range(0, len(data) - len(data) % 3, 3):
-        n = data[i] << 16 | data[i + 1] << 8 | data[i + 2]
-        append(pair[n >> 12])
-        append(pair[n & 0xFFF])
-    rem = len(data) % 3
-    if rem == 1:
-        append(pair[data[-1] << 4])
-        append("==")
-    elif rem == 2:
-        n = data[-2] << 16 | data[-1] << 8
-        append(pair[n >> 12])
-        append(_B64_ALPHABET[(n >> 6) & 0x3F])
-        append("=")
-    return "".join(out)
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def b64decode(text: str) -> bytes:
     """Decode base64 *text*, tolerating embedded whitespace.
 
     XMLDSig explicitly allows whitespace inside base64 element content,
-    so all XML whitespace characters are stripped before decoding.
+    so the XML whitespace characters are stripped before decoding; any
+    other character outside the alphabet is an error.  ``=`` may only
+    pad the end (once or twice); non-canonical trailing bits are
+    ignored, as in RFC 4648 decoders that accept them.
 
     Raises:
         CryptoError: if *text* contains non-alphabet characters or has
             an impossible length/padding combination.
     """
-    compact = "".join(text.split())
+    # XML whitespace is #x20 #x9 #xD #xA only, as in XML Schema
+    # base64Binary: U+00A0, U+2028 and the like are not in the alphabet.
+    compact = (text.replace(" ", "").replace("\t", "")
+               .replace("\r", "").replace("\n", ""))
     if len(compact) % 4 != 0:
         raise CryptoError(f"base64 length {len(compact)} is not a multiple of 4")
-    if not compact:
-        return b""
-    pad = 0
-    if compact.endswith("=="):
-        pad = 2
-    elif compact.endswith("="):
-        pad = 1
-    body = compact[: len(compact) - pad] if pad else compact
-    pair = _D_PAIR
-    out = bytearray()
-    full = len(body) - len(body) % 4
-    try:
-        for i in range(0, full, 4):
-            n = pair[body[i:i + 2]] << 12 | pair[body[i + 2:i + 4]]
-            out += n.to_bytes(3, "big")
-        rem = body[full:]
-        # ``compact`` is a multiple of 4, so after stripping padding the
-        # remainder is 3 chars (pad "="), 2 chars (pad "==") or empty.
-        if len(rem) == 3:
-            n = pair[rem[:2]] << 6 | _B64_DECODE[rem[2]]
-            # The two leftover bits are ignored, as in RFC 4648 decoders
-            # that accept non-canonical trailing bits.
-            out += (n >> 2).to_bytes(2, "big")
-        elif len(rem) == 2:
-            out.append(pair[rem] >> 4)
-    except KeyError:
-        for ch in body:
-            if ch not in _B64_DECODE:
-                raise CryptoError(
-                    f"invalid base64 character {ch!r}"
-                ) from None
-        raise  # pragma: no cover - every KeyError names a bad char
-    return bytes(out)
+    body = (compact[:-2] if compact.endswith("==")
+            else compact.removesuffix("="))
+    if not body.isascii() or body.encode().translate(None, _B64_ALPHABET):
+        bad = _NOT_B64_ALPHABET.search(body).group()
+        raise CryptoError(f"invalid base64 character {bad!r}")
+    return binascii.a2b_base64(compact)
 
 
 def hexencode(data: bytes) -> str:

@@ -12,14 +12,17 @@ Two sources are provided:
 The DRBG follows the classic hash-counter construction: block *i* of
 output is ``SHA256(seed || counter_i)``.  It is *not* offered as a
 cryptographically vetted DRBG — it exists so experiments are replayable.
+Like base64, it is a utility rather than a provider algorithm: the
+blocks come from :mod:`hashlib` under every provider, and SHA-256's
+definition makes them the same bytes on each.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 from repro.primitives.encoding import int_to_bytes
-from repro.primitives.sha import SHA256
 
 
 class RandomSource:
@@ -77,7 +80,7 @@ class DeterministicRandomSource(RandomSource):
 
     def read(self, n: int) -> bytes:
         while len(self._buffer) < n:
-            block = SHA256(
+            block = hashlib.sha256(
                 self._seed + self._counter.to_bytes(8, "big")
             ).digest()
             self._counter += 1

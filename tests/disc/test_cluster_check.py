@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import ArtifactAuditor, audit_paths
 from repro.disc import (
-    BD_ROM, ApplicationManifest, DiscAuthor, DiscImage,
+    BD_ROM, ApplicationManifest, DiscAuthor, DiscImage, InteractiveCluster,
 )
 from repro.errors import DiscError
 from repro.player import DiscPlayer
@@ -147,6 +147,23 @@ def test_player_reads_the_cluster_once(trust_store):
     image = variant("clean")
     DiscPlayer(trust_store).insert_disc(image)
     assert image.cluster_reads == 1
+
+
+def test_player_builds_the_cluster_once(trust_store, monkeypatch):
+    # Each build deep-copies every submarkup body, so the structure
+    # check and the session share one InteractiveCluster.
+    built = []
+    from_element = InteractiveCluster.from_element.__func__
+
+    def counting(cls, node):
+        built.append(node)
+        return from_element(cls, node)
+
+    monkeypatch.setattr(InteractiveCluster, "from_element",
+                        classmethod(counting))
+    session = DiscPlayer(trust_store).insert_disc(variant("clean"))
+    assert len(built) == 1
+    assert built[0] is session.cluster_element
 
 
 def test_auditor_reads_the_cluster_once():

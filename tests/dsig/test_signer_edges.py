@@ -117,3 +117,23 @@ def test_verify_skips_malformed_signature_value(pki, manifest):
     report = Verifier().verify(signature)
     assert not report.valid
     assert "malformed" in report.error
+
+
+@pytest.mark.parametrize("space, valid", [
+    ("\n", True), ("\r\n\t ", True),
+    ("\xa0", False), ("\x85", False), ("\u2028", False), ("\u3000", False),
+])
+def test_only_xml_whitespace_may_break_a_signature_value(pki, manifest,
+                                                         space, valid):
+    # XML Schema base64Binary (and so XMLDSig) allows #x20 #x9 #xD #xA
+    # inside the value; any other space character makes it malformed.
+    signature = Signer(pki.studio.key).sign_enveloped(manifest)
+    value = signature.find("SignatureValue", DSIG_NS)
+    text = value.children[0].data
+    value.children[0].data = text[:8] + space + text[8:]
+    reparsed = parse_element(serialize(manifest))
+    report = Verifier().verify(reparsed.find("Signature", DSIG_NS),
+                               key=pki.studio.key.public_key())
+    assert report.valid is valid
+    if not valid:
+        assert report.error.startswith("malformed signature: ")
