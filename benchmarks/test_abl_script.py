@@ -6,10 +6,11 @@ source), the table-driven parser, and the tree-walking interpreter.
 This bench times each stage of a pinned 70-line menu script of the
 player-session shape, so a change to one stage shows in its own row.
 
-Rows: lex (scan), lex+parse, and a full run (lex, parse, execute),
-each as a median over 25 interleaved rounds and as a share of the run,
-with the run's instruction count, which the front end must not
-change.
+Rows: lex (scan), lex+parse, execute and a full run (lex, parse,
+execute), each as a median over 25 interleaved rounds and as a share
+of the run, with the run's instruction count, which the front end and
+the walker must not change.  A round's execute sample is its run less
+its lex+parse, two calls timed back to back.
 """
 
 import statistics
@@ -59,7 +60,7 @@ def test_ablscript_stage_breakdown():
         "lex+parse": lambda: parse_script(SOURCE),
         "run": lambda: run_pinned_script(SOURCE),
     }
-    samples = {name: [] for name in stages}
+    samples = {name: [] for name in (*stages, "execute")}
     for _ in range(3):
         for fn in stages.values():
             fn()
@@ -68,7 +69,10 @@ def test_ablscript_stage_breakdown():
             start = time.perf_counter()
             fn()
             samples[name].append(time.perf_counter() - start)
-    median = {name: statistics.median(s) for name, s in samples.items()}
+        samples["execute"].append(samples["run"][-1]
+                                  - samples["lex+parse"][-1])
+    median = {name: statistics.median(samples[name])
+              for name in ("lex", "lex+parse", "execute", "run")}
     run = median["run"]
     rows = [
         f"{name:10s} {seconds * 1e3:7.3f}ms ({seconds / run * 100:5.1f}%)"

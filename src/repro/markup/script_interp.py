@@ -12,6 +12,7 @@ engine chose to expose.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -166,39 +167,67 @@ class Interpreter:
             return self._invoke(function, list(args))
 
     # -- execution ------------------------------------------------------------------
+    #
+    # Every node costs one instruction, charged inline where the node is
+    # entered (``self._instructions += 1`` and one compare against the
+    # budget); only an overrun calls out, to :meth:`_overrun`.  A loop
+    # iteration, a call and a function body's block cost one more each.
+    # Kinds are tested in the order of how often they reach ``_exec``
+    # and ``_eval``, and a function body's top-level ``return`` leaves
+    # without raising (DESIGN §3.1).
 
-    def _tick(self) -> None:
-        self._instructions += 1
-        if self._instructions > self.max_instructions:
-            raise ScriptRuntimeError(
-                f"instruction budget exceeded "
-                f"({self.max_instructions}); runaway script aborted"
-            )
+    def _overrun(self):
+        raise ScriptRuntimeError(
+            f"instruction budget exceeded "
+            f"({self.max_instructions}); runaway script aborted"
+        )
 
-    def _exec_block(self, statements, env: Environment) -> None:
+    def _hoist(self, statements, env: Environment) -> None:
         # Function declarations are hoisted (ECMA-262 §10.1.3).
         for statement in statements:
             if statement[0] == "funcdecl":
                 env.declare(statement[1],
                             ScriptFunction(statement[2], statement[3],
                                            env, name=statement[1]))
+
+    def _exec_block(self, statements, env: Environment) -> None:
+        self._hoist(statements, env)
         for statement in statements:
             if statement[0] != "funcdecl":
                 self._exec(statement, env)
 
     def _exec(self, node, env: Environment) -> None:
-        self._tick()
+        self._instructions += 1
+        if self._instructions > self.max_instructions:
+            self._overrun()
         kind = node[0]
-        if kind == "block":
+        if kind == "exprstmt":
+            self._eval(node[1], env)
+        elif kind == "block":
             self._exec_block(node[1], env)
         elif kind == "var":
-            value = None if node[2] is None else self._eval(node[2], env)
-            env.declare(node[1], value)
-        elif kind == "funcdecl":
-            env.declare(node[1], ScriptFunction(node[2], node[3], env,
-                                                name=node[1]))
-        elif kind == "exprstmt":
-            self._eval(node[1], env)
+            env.declare(node[1], None if node[2] is None
+                        else self._eval(node[2], env))
+        elif kind == "for":
+            _kind, init, condition, step, body = node
+            loop_env = Environment(env)
+            if init is not None:
+                self._exec(init, loop_env)
+            while condition is None \
+                    or _truthy(self._eval(condition, loop_env)):
+                self._instructions += 1
+                if self._instructions > self.max_instructions:
+                    self._overrun()
+                try:
+                    self._exec(body, loop_env)
+                except _Break:
+                    break
+                except _Continue:
+                    pass
+                if step is not None:
+                    self._exec(step, loop_env)
+        elif kind == "continue":
+            raise _Continue()
         elif kind == "if":
             if _truthy(self._eval(node[1], env)):
                 self._exec(node[2], env)
@@ -206,83 +235,86 @@ class Interpreter:
                 self._exec(node[3], env)
         elif kind == "while":
             while _truthy(self._eval(node[1], env)):
-                self._tick()
+                self._instructions += 1
+                if self._instructions > self.max_instructions:
+                    self._overrun()
                 try:
                     self._exec(node[2], env)
                 except _Break:
                     break
                 except _Continue:
                     continue
-        elif kind == "for":
-            loop_env = Environment(env)
-            if node[1] is not None:
-                self._exec(node[1], loop_env)
-            while node[2] is None or _truthy(self._eval(node[2], loop_env)):
-                self._tick()
-                try:
-                    self._exec(node[4], loop_env)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if node[3] is not None:
-                    self._exec(node[3], loop_env)
         elif kind == "return":
-            value = None if node[1] is None else self._eval(node[1], env)
-            raise _Return(value)
+            raise _Return(None if node[1] is None
+                          else self._eval(node[1], env))
         elif kind == "break":
             raise _Break()
-        elif kind == "continue":
-            raise _Continue()
+        elif kind == "funcdecl":
+            self._hoist((node,), env)
         else:
             raise ScriptRuntimeError(f"unknown statement kind {kind!r}")
 
     # -- evaluation ------------------------------------------------------------------
 
     def _eval(self, node, env: Environment):
-        self._tick()
+        self._instructions += 1
+        if self._instructions > self.max_instructions:
+            self._overrun()
         kind = node[0]
-        if kind == "num":
-            return node[1]
-        if kind == "str":
-            return node[1]
-        if kind == "bool":
-            return node[1]
-        if kind == "null":
-            return None
         if kind == "name":
             return env.lookup(node[1])
-        if kind == "array":
-            return [self._eval(item, env) for item in node[1]]
-        if kind == "object":
-            return {key: self._eval(value, env) for key, value in node[1]}
-        if kind == "func":
-            return ScriptFunction(node[1], node[2], env)
-        if kind == "unary":
-            return self._eval_unary(node, env)
+        if kind == "num":
+            return node[1]
         if kind == "binary":
-            return self._eval_binary(node, env)
+            left = self._eval(node[2], env)
+            right = self._eval(node[3], env)
+            try:
+                operation = _BINARY[node[1]]
+            except KeyError:
+                raise ScriptRuntimeError(
+                    f"unknown operator {node[1]!r}") from None
+            return operation(left, right)
+        if kind == "assign":
+            return self._eval_assign(node, env)
+        if kind == "call":
+            args = [self._eval(arg, env) for arg in node[2]]
+            callee = node[1]
+            if callee[0] == "member":
+                return self._invoke(
+                    self._get_member(self._eval(callee[1], env),
+                                     callee[2]), args)
+            return self._invoke(self._eval(callee, env), args)
+        if kind == "postfix":
+            return self._eval_postfix(node, env)
+        if kind == "str":
+            return node[1]
         if kind == "logical":
             left = self._eval(node[2], env)
             if node[1] == "&&":
                 return self._eval(node[3], env) if _truthy(left) else left
             return left if _truthy(left) else self._eval(node[3], env)
-        if kind == "cond":
-            if _truthy(self._eval(node[1], env)):
-                return self._eval(node[2], env)
-            return self._eval(node[3], env)
-        if kind == "assign":
-            return self._eval_assign(node, env)
-        if kind == "postfix":
-            return self._eval_postfix(node, env)
-        if kind == "member":
-            return self._get_member(self._eval(node[1], env), node[2])
         if kind == "index":
             return self._get_index(
                 self._eval(node[1], env), self._eval(node[2], env),
             )
-        if kind == "call":
-            return self._eval_call(node, env)
+        if kind == "member":
+            return self._get_member(self._eval(node[1], env), node[2])
+        if kind == "unary":
+            return self._eval_unary(node, env)
+        if kind == "object":
+            return {key: self._eval(value, env) for key, value in node[1]}
+        if kind == "func":
+            return ScriptFunction(node[1], node[2], env)
+        if kind == "bool":
+            return node[1]
+        if kind == "array":
+            return [self._eval(item, env) for item in node[1]]
+        if kind == "null":
+            return None
+        if kind == "cond":
+            if _truthy(self._eval(node[1], env)):
+                return self._eval(node[2], env)
+            return self._eval(node[3], env)
         raise ScriptRuntimeError(f"unknown expression kind {kind!r}")
 
     def _eval_unary(self, node, env):
@@ -308,48 +340,16 @@ class Interpreter:
             return "object"
         raise ScriptRuntimeError(f"unknown unary operator {op!r}")
 
-    def _eval_binary(self, node, env):
-        op = node[1]
-        left = self._eval(node[2], env)
-        right = self._eval(node[3], env)
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return _stringify(left) + _stringify(right)
-            return _number(left) + _number(right)
-        if op == "-":
-            return _number(left) - _number(right)
-        if op == "*":
-            return _number(left) * _number(right)
-        if op == "/":
-            divisor = _number(right)
-            if divisor == 0:
-                raise ScriptRuntimeError("division by zero")
-            return _number(left) / divisor
-        if op == "%":
-            divisor = _number(right)
-            if divisor == 0:
-                raise ScriptRuntimeError("modulo by zero")
-            return _number(left) % divisor
-        if op in ("==", "==="):
-            return left == right
-        if op in ("!=", "!=="):
-            return left != right
-        if op == "<":
-            return _compare(left, right) < 0
-        if op == ">":
-            return _compare(left, right) > 0
-        if op == "<=":
-            return _compare(left, right) <= 0
-        if op == ">=":
-            return _compare(left, right) >= 0
-        raise ScriptRuntimeError(f"unknown operator {op!r}")
-
     def _eval_assign(self, node, env):
         _kind, target, op, value_node = node
         value = self._eval(value_node, env)
         if op != "=":
             current = self._eval(target, env)
-            value = self._apply_compound(op, current, value)
+            operation = _COMPOUND.get(op)
+            if operation is None:
+                raise ScriptRuntimeError(
+                    f"unknown compound operator {op!r}")
+            value = operation(current, value)
         if target[0] == "name":
             env.assign(target[1], value)
         elif target[0] == "member":
@@ -361,27 +361,6 @@ class Interpreter:
             self._set_index(obj, index, value)
         return value
 
-    def _apply_compound(self, op, current, value):
-        if op == "+=":
-            if isinstance(current, str) or isinstance(value, str):
-                return _stringify(current) + _stringify(value)
-            return _number(current) + _number(value)
-        if op == "-=":
-            return _number(current) - _number(value)
-        if op == "*=":
-            return _number(current) * _number(value)
-        if op == "/=":
-            divisor = _number(value)
-            if divisor == 0:
-                raise ScriptRuntimeError("division by zero")
-            return _number(current) / divisor
-        if op == "%=":
-            divisor = _number(value)
-            if divisor == 0:
-                raise ScriptRuntimeError("modulo by zero")
-            return _number(current) % divisor
-        raise ScriptRuntimeError(f"unknown compound operator {op!r}")
-
     def _eval_postfix(self, node, env):
         _kind, op, target = node
         current = _number(self._eval(target, env))
@@ -389,18 +368,10 @@ class Interpreter:
         self._eval_assign(("assign", target, "=", ("num", updated)), env)
         return current
 
-    def _eval_call(self, node, env):
-        _kind, callee, arg_nodes = node
-        args = [self._eval(arg, env) for arg in arg_nodes]
-        if callee[0] == "member":
-            obj = self._eval(callee[1], env)
-            method = self._get_member(obj, callee[2])
-            return self._invoke(method, args)
-        function = self._eval(callee, env)
-        return self._invoke(function, args)
-
     def _invoke(self, function, args):
-        self._tick()
+        self._instructions += 1
+        if self._instructions > self.max_instructions:
+            self._overrun()
         if isinstance(function, ScriptFunction):
             if self._calls >= MAX_CALL_DEPTH:
                 raise ScriptRuntimeError(
@@ -408,12 +379,30 @@ class Interpreter:
                     "runaway recursion aborted"
                 )
             env = Environment(function.closure)
+            values = env.values
+            count = len(args)
             for index, param in enumerate(function.params):
-                env.declare(param,
-                            args[index] if index < len(args) else None)
+                values[param] = args[index] if index < count else None
             self._calls += 1
             try:
-                self._exec(function.body, env)
+                # The body block, with the tick and hoisting _exec
+                # would give it, run here so that a top-level return
+                # needs no unwinding.
+                self._instructions += 1
+                if self._instructions > self.max_instructions:
+                    self._overrun()
+                statements = function.body[1]
+                self._hoist(statements, env)
+                for statement in statements:
+                    kind = statement[0]
+                    if kind == "return":
+                        self._instructions += 1
+                        if self._instructions > self.max_instructions:
+                            self._overrun()
+                        return (None if statement[1] is None
+                                else self._eval(statement[1], env))
+                    if kind != "funcdecl":
+                        self._exec(statement, env)
             except _Return as ret:
                 return ret.value
             finally:
@@ -593,6 +582,88 @@ def _compare(left, right) -> int:
         return (left > right) - (left < right)
     a, b = _number(left), _number(right)
     return (a > b) - (a < b)
+
+
+# -- binary operators ---------------------------------------------------------
+#
+# One function per operator.  When both operands are exactly ``float``
+# (no ``bool``, ``int`` or subclass), ``_number`` would return them
+# unchanged, so each function computes on them directly, a zero
+# divisor excepted; the result is the one the coercing path gives, NaN
+# included: ``_compare`` is 0 for a NaN operand, so ``<=`` and ``>=``
+# are then true.
+
+
+def _add(left, right):
+    if type(left) is float and type(right) is float:
+        return left + right
+    if isinstance(left, str) or isinstance(right, str):
+        return _stringify(left) + _stringify(right)
+    return _number(left) + _number(right)
+
+
+def _subtract(left, right):
+    if type(left) is float and type(right) is float:
+        return left - right
+    return _number(left) - _number(right)
+
+
+def _multiply(left, right):
+    if type(left) is float and type(right) is float:
+        return left * right
+    return _number(left) * _number(right)
+
+
+def _divide(left, right):
+    if type(left) is float and type(right) is float and right:
+        return left / right
+    divisor = _number(right)
+    if divisor == 0:
+        raise ScriptRuntimeError("division by zero")
+    return _number(left) / divisor
+
+
+def _modulo(left, right):
+    if type(left) is float and type(right) is float and right:
+        return left % right
+    divisor = _number(right)
+    if divisor == 0:
+        raise ScriptRuntimeError("modulo by zero")
+    return _number(left) % divisor
+
+
+def _less(left, right):
+    if type(left) is float and type(right) is float:
+        return left < right
+    return _compare(left, right) < 0
+
+
+def _greater(left, right):
+    if type(left) is float and type(right) is float:
+        return left > right
+    return _compare(left, right) > 0
+
+
+def _at_most(left, right):
+    if type(left) is float and type(right) is float:
+        return not left > right
+    return _compare(left, right) <= 0
+
+
+def _at_least(left, right):
+    if type(left) is float and type(right) is float:
+        return not left < right
+    return _compare(left, right) >= 0
+
+
+_BINARY = {
+    "+": _add, "-": _subtract, "*": _multiply, "/": _divide,
+    "%": _modulo, "==": operator.eq, "===": operator.eq,
+    "!=": operator.ne, "!==": operator.ne, "<": _less, ">": _greater,
+    "<=": _at_most, ">=": _at_least,
+}
+#: Compound assignment operators: the binary operator they apply.
+_COMPOUND = {op + "=": _BINARY[op] for op in "+-*/%"}
 
 
 def run_script(source: str,

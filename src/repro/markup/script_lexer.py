@@ -7,9 +7,11 @@ functions, control flow, arithmetic/logic, strings, arrays and host
 object calls.
 
 One compiled scanner regex reads the source in a single pass
-(DESIGN §3.1).  Only string escapes and block comments leave the fast
-path; an input the regex cannot tokenize ends in a catch-all
-alternative that names the first character it could not read.
+(DESIGN §3.1): ``findall`` hands back each token's text as a plain
+string, and the token's first character tags it.  Only string escapes
+and block comments leave the fast path; an input the regex cannot
+tokenize ends in a catch-all alternative that names the first
+character it could not read.
 """
 
 from __future__ import annotations
@@ -29,31 +31,53 @@ _ESCAPES = {
     "0": "\0",
 }
 
-# One alternative per token class; blanks and line comments capture
-# nothing, so their match has no ``lastgroup``.  Numbers are decimal
-# digits only (``\d`` is ``str.isdecimal``), so every number token is
-# one ``float()`` accepts.  A word is ``[\w$]`` characters (``\w`` is
-# ``str.isalnum`` or ``_``) that do not start with a digit; one that
-# starts with a non-ASCII character must start with a letter, which
-# the scanner checks outside the regex.  A ``/`` followed by ``*`` is
-# a comment or, unterminated, an error; a ``.`` followed by a digit
-# starts a number.
+# Blanks and line comments match outside the one capturing group, so
+# ``findall`` gives them as empty strings; the blanks after a token are
+# consumed with it.  Every other alternative is a token, read whole:
+# a block comment, a punctuator, a word, a newline, a number, a string,
+# a word that starts with a non-ASCII character, or the catch-all.
+# Numbers are decimal digits only (``\d`` is ``str.isdecimal``), so
+# every number token is one ``float()`` accepts.  A word is ``[\w$]``
+# characters (``\w`` is ``str.isalnum`` or ``_``) that do not start with
+# a digit; one that starts with a non-ASCII character must start with a
+# letter, which the scanner checks outside the regex.  A ``/`` followed
+# by ``*`` is a comment or, unterminated, an error; a ``.`` followed by
+# a digit starts a number.
 _SCANNER = re.compile(r"""
     [ \t\r]+
   | //[^\n]*
-  | (?P<comment>/\*[\s\S]*?\*/)
-  | (?P<punct>===|!==|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--
-             |[-+*%<>=(){}\[\],;!?:]|/(?!\*)|\.(?!\d))
-  | (?P<word>[A-Za-z_$][\w$]*)
-  | (?P<newline>\n)
-  | (?P<number>\d+(?:\.\d*)?|\.\d+)
-  | (?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"
-              |'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')
-  | (?P<uword>[^\W\d][\w$]*)
-  | (?P<bad>/\*|[\s\S])
+  | ( /\*[\s\S]*?\*/
+    | ===|!==|==|!=|<=|>=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--
+    | [-+*%<>=(){}\[\],;!?:]|/(?!\*)|\.(?!\d)
+    | [A-Za-z_$][\w$]*
+    | \n
+    | \d+(?:\.\d*)?|\.\d+
+    | "[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"
+    | '[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'
+    | [^\W\d][\w$]*
+    | /\*|[\s\S]
+    )[ \t\r]*
 """, re.VERBOSE)
 
 _ESCAPE = re.compile(r"\\([\s\S])")
+
+#: Punctuators; with the keywords, the tokens whose text is their tag.
+_PUNCTUATORS = frozenset((
+    "===", "!==", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=",
+    "/=", "%=", "++", "--", "-", "+", "*", "%", "<", ">", "=", "(", ")",
+    "{", "}", "[", "]", ",", ";", "!", "?", ":", "/", ".",
+))
+_TAGS = {text: text for text in KEYWORDS | _PUNCTUATORS}
+#: Any other token by its first ASCII character: a name, a number, a
+#: string, a newline or a block comment.  A token that starts with a
+#: non-ASCII character is a name or a number when that character is a
+#: letter or a decimal digit.
+_LEADS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                    "abcdefghijklmnopqrstuvwxyz_$", "name"),
+    **dict.fromkeys("0123456789.", "number"),
+    '"': "string", "'": "string", "\n": "newline", "/": "comment",
+}
 
 #: Token kinds whose tag is the kind itself; any other tag is a
 #: keyword or a punctuator, and is the token's value.
@@ -71,10 +95,11 @@ def _unescape(match: re.Match) -> str:
     return _ESCAPES.get(match[1], match[1])
 
 
-def _string_error(source: str, pos: int, line: int) -> ScriptSyntaxError:
-    """The error for the string opening at *pos*, which the scanner
-    could not close."""
-    pos += 1
+def _string_error(source: str, line: int) -> ScriptSyntaxError:
+    """The error for the first string of *source* that the scanner
+    could not close, at *line*."""
+    pos = next(match.start(1) for match in _SCANNER.finditer(source)
+               if match[1] in ("'", '"')) + 1
     while pos < len(source):
         char = source[pos]
         if char == "\n":
@@ -100,38 +125,38 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     values: list[str] = []
     lines: list[int] = []
     line = 1
-    for match in _SCANNER.finditer(source):
-        group = match.lastgroup
-        if group is None:
-            continue
-        text = match.group()
-        if group == "punct":
-            tag = text
-        elif group == "word":
-            tag = text if text in KEYWORDS else "name"
-        elif group == "newline":
-            line += 1
-            continue
-        elif group == "number":
-            tag = "number"
-        elif group == "string":
-            tag = "string"
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(_unescape, text)
-        elif group == "comment":
-            line += text.count("\n")
-            continue
-        elif group == "uword" and text[0].isalpha():
-            tag = "name"
-        elif text == "/*":
-            raise ScriptSyntaxError(f"unterminated comment at line {line}")
-        elif text in "'\"":
-            raise _string_error(source, match.start(), line)
-        else:
-            raise ScriptSyntaxError(
-                f"unexpected character {text[0]!r} at line {line}"
-            )
+    for text in _SCANNER.findall(source):
+        tag = _TAGS.get(text)
+        if tag is None:
+            if not text:            # blanks or a line comment
+                continue
+            lead = text[0]
+            tag = _LEADS.get(lead)
+            if tag == "string":
+                if len(text) == 1:  # an opening quote it could not close
+                    raise _string_error(source, line)
+                text = text[1:-1]
+                if "\\" in text:
+                    text = _ESCAPE.sub(_unescape, text)
+            elif tag == "newline":
+                line += 1
+                continue
+            elif tag == "comment":
+                if text == "/*":
+                    raise ScriptSyntaxError(
+                        f"unterminated comment at line {line}"
+                    )
+                line += text.count("\n")
+                continue
+            elif tag is None:
+                if lead.isalpha():
+                    tag = "name"
+                elif lead.isdecimal():
+                    tag = "number"
+                else:
+                    raise ScriptSyntaxError(
+                        f"unexpected character {lead!r} at line {line}"
+                    )
         tags.append(tag)
         values.append(text)
         lines.append(line)

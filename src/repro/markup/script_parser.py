@@ -48,6 +48,8 @@ _BINARY = {
 _PREFIX = frozenset(("!", "-", "+", "typeof"))
 _ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%="))
 _TARGETS = frozenset(("name", "member", "index"))
+#: Tokens that end an expression which is a lone name, number or string.
+_LEAF_ENDS = frozenset((",", ")", ";", "]"))
 
 
 class Parser:
@@ -223,9 +225,24 @@ class Parser:
 
     def _expression(self, assign: bool = False) -> tuple:
         """A conditional expression; with *assign*, also a chain of
-        assignments (``a = b += c``), which associates to the right."""
-        depth = self._nest()
+        assignments (``a = b += c``), which associates to the right.
+
+        A lone name, number or string that a ``,`` ``)`` ``;`` or ``]``
+        ends (an argument, a subscript, a returned or initial value) is
+        returned as its leaf at once, wherever :meth:`_nest` would let
+        the expression in."""
         tags = self._tags
+        pos = self._pos
+        tag = tags[pos]
+        if (tag == "name" or tag == "number" or tag == "string") \
+                and tags[pos + 1] in _LEAF_ENDS and self._depth < MAX_DEPTH:
+            self._pos = pos + 1
+            if tag == "name":
+                return ("name", self._values[pos])
+            if tag == "number":
+                return ("num", float(self._values[pos]))
+            return ("str", self._values[pos])
+        depth = self._nest()
         expr = self._binary()
         if tags[self._pos] == "?":
             self._pos += 1

@@ -69,6 +69,12 @@ class DiscSession:
             node = node.parent
         return False
 
+    def covers_part_of(self, element) -> bool:
+        """True if *element* or an element inside it is in a signed
+        region of this disc."""
+        return any(not self.signed_ids.isdisjoint(node.id_values())
+                   for node in element.iter())
+
 
 @dataclass
 class PlaybackReport:
@@ -303,8 +309,20 @@ class DiscPlayer:
             raise PlayerError(f"disc has no application named {name!r}")
         if session.authenticated and not session.covers(manifest_element):
             # The disc authenticates, but THIS manifest is outside every
-            # signed region — injected content riding an otherwise-valid
-            # disc (signature wrapping).  Bar it.
+            # signed region.  Bar it.  With signed parts inside it, the
+            # disc was signed below manifest level (CODE, SCRIPT ...),
+            # which vouches for no whole application, or signed parts
+            # were moved in from another application: an ``#id``
+            # reference still finds them, so the two cannot be told
+            # apart here.  With none it is injected content riding an
+            # otherwise-valid disc (signature wrapping).
+            if session.covers_part_of(manifest_element):
+                raise ApplicationRejectedError(
+                    f"application {name!r} is not covered by a disc "
+                    "signature as a whole: only parts of it are signed, "
+                    "below manifest level (a disc signed at that level, "
+                    "or signed parts moved into it)"
+                )
             raise ApplicationRejectedError(
                 f"application {name!r} is not covered by any disc "
                 "signature (wrapping attack suspected)"

@@ -9,6 +9,8 @@ recursive-descent parser that the single-pass scanner and the
 table-driven parser replaced; the corpus holds no input whose outcome
 was meant to change (non-decimal digits, nesting past the depth limit,
 unbounded recursion), as those are pinned in ``test_script.py``.
+A second corpus and sweep, at the end, pin the interpreter's fast
+paths against the walker they replaced.
 """
 
 from __future__ import annotations
@@ -478,3 +480,252 @@ def test_corpus_covers_every_token_and_node_kind():
         "str", "bool", "null", "array", "object", "func", "cond",
         "postfix",
     }
+
+
+# -- the walker's fast paths -----------------------------------------------
+#
+# A second corpus and sweep aim at the interpreter's own shortcuts, a
+# float operator that skips the coercions and a function body whose
+# top-level ``return`` leaves without unwinding, and at the operands,
+# assignment targets and calls around them, literal and not.  Both
+# were recorded from the walker that dispatched every node through
+# ``_eval``/``_exec``.
+
+#: SHA-256 of :func:`fast_path_transcript`.
+FAST_PATH_SHA256 = (
+    "d3059d32814450491b2caec35b1a95619206feb0457a0c20350c5626611a0f36"
+)
+#: SHA-256 of :func:`fast_path_sweep_transcript`.
+FAST_PATH_SWEEP_SHA256 = (
+    "cbcb17b5679b788fb29a38cbb3f3d95e127833d0799caa9e284d3b704e130df9"
+)
+
+#: Binary operands of every type, bound to names: floats, ``-0``, NaN
+#: and ±Infinity (spelled ``+"nan"`` and ``±"inf"``), a host-returned
+#: ``int`` and ``bool``, strings, null, an array, an object and (the
+#: ``host`` global itself) a host object.
+NAMED_OPERANDS = {
+    "f": "1.5", "z": "0", "nz": "-0", "nan": '+"nan"', "inf": '+"inf"',
+    "ninf": '-"inf"', "hi": "host.int()", "h0": "host.zero()",
+    "hb": "host.bool()", "hn": "host.no()", "s": '"2"', "e": '""',
+    "n": "null", "arr": "[1, 2]", "o": "{k: 1}",
+}
+OPERAND_PRELUDE = "var " + ", ".join(
+    f"{name} = {value}" for name, value in NAMED_OPERANDS.items()) + ";"
+#: The same types written as literals, where the language has one.
+LITERAL_OPERANDS = ("2", "0", "1.5", '"2"', '"b"', '""', "true", "false",
+                    "null")
+OPERANDS = (*NAMED_OPERANDS, "host", *LITERAL_OPERANDS)
+
+#: Assignment targets: declared and undeclared names, dict, host,
+#: string and null members, present and missing; in-range,
+#: appending, out-of-range and non-finite array indexes, dict keys,
+#: and indexes into values that take none.
+ASSIGN_TARGETS = ("x", "u", "o.k", "o.missing", "host.p", "host.q",
+                  "s.x", "n.x", "u.x", "arr[0]", "arr[2]", "arr[9]",
+                  "arr[-1]", "arr[nan]", 'o["k"]', "o[1]", 'o["zz"]',
+                  "s[0]", "u[0]", "x.y.z")
+ASSIGN_VALUES = ("2", "f", '"v"', "null", "u")
+POSTFIX_TARGETS = ("x", "u", "o.k", "o.missing", "host.p", "arr[1]",
+                   'o["zz"]', "s[0]")
+ASSIGN_PRELUDE = ('var x = 1, f = 1.5, s = "str", n = null, '
+                  "arr = [1, 2], o = {k: 1}, nan = +\"nan\";")
+
+#: Calls with literal and non-literal arguments, to host and script
+#: functions, with missing and extra arguments, and to callees that
+#: cannot be called; an argument that fails is evaluated before the
+#: callee that would.
+CALLS = (
+    'player.log(1, "a", null, true, false, 0)',
+    "player.log(f, f + 1, [f], {k: f}, -f, g(f))",
+    "player.log()",
+    "Math.max(1, f, host.int())",
+    'parseInt("42")',
+    "host.int() + host.bool()",
+    "g(1)", "g(1, 2, 3)", "g()", "g(f, 2)",
+    "f(1)", "s()", "n()", "o()", "arr()", "host()", "o.k()",
+    "host.p()", "(1)()", '"x"()', "u(1)", "u.x()", "o.missing()",
+    "f(u)", "u(v)", "host.boom()", "host.boom(1)", "Math.nope()",
+    "(function (p, q) { return p + q; })(1, 2)",
+)
+CALL_PRELUDE = ('var f = 2.5, s = "s", n = null, arr = [1], o = {k: 1};'
+                " function g(a, b) { player.log(a, b); return a; }")
+
+#: Function bodies: hoisted inner functions, a top-level ``return``,
+#: ``return`` nested in ``if``/``for``/``while`` and in a bare block, a
+#: bare ``return``, no ``return``, dead code after a ``return``, a
+#: ``break`` that leaves the caller's loop, recursion and closures;
+#: each is followed by ``call_function`` calls on the same
+#: interpreter.
+FUNCTIONS = (
+    ("function f(x) { function g() { return h(x) + 1; } return g();"
+     " function h(y) { return y * 2; } }\nvar r = f(3);",
+     [("f", (1.0,)), ("f", ("a",))]),
+    ("function f(x) { var y = x + 1; return y; player.log(\"dead\"); }\n"
+     "var r = f(1);", [("f", (2.0,)), ("f", ())]),
+    ("function f(x) { if (x > 1) { return 1; } else if (x < 0) return -1;"
+     " return 0; }\nvar r = [f(2), f(-3), f(0)];",
+     [("f", (5.0,)), ("f", (-5.0,)), ("f", (None,))]),
+    ("function f(n) { for (var i = 0; i < 5; i++) { if (i == n) return i;"
+     " } return -1; }\nvar r = [f(2), f(9)];", [("f", (4.0,))]),
+    ("function f(n) { var i = 0; while (true) { i++; if (i > n) return i;"
+     " } }\nvar r = f(3);", [("f", (0.0,)), ("f", (10.0,))]),
+    ("function f() { { { return 7; } } }\nvar r = f();", [("f", ())]),
+    ("function f() { player.log(\"a\"); return; player.log(\"b\"); }\n"
+     "var r = f();", [("f", ())]),
+    ("function f(p) { player.log(p); }\nvar r = f(1);",
+     [("f", ("x",)), ("f", ())]),
+    ("function f() { }\nvar r = f();", [("f", ())]),
+    ("function f() { return; }\nvar r = f();", [("f", ())]),
+    ("function f() { break; }\n"
+     "for (var i = 0; i < 3; i++) { f(); player.log(i); }\nvar r = i;",
+     [("f", ())]),
+    ("function f() { continue; }\n"
+     "var i = 0; while (i < 3) { i++; f(); player.log(i); }",
+     [("f", ())]),
+    ("function fact(n) { if (n < 2) return 1; return n * fact(n - 1); }\n"
+     "var r = fact(6);", [("fact", (5.0,)), ("fact", (70.0,))]),
+    ("function mk() { var c = 0; return function () { c++; return c; }; }"
+     "\nvar k = mk(); var r = [k(), k()];", [("k", ()), ("mk", ())]),
+    ("function f(a, a) { return a; }\nvar r = [f(1), f(1, 2)];",
+     [("f", (3.0, 4.0))]),
+    ("var r = 1;\nreturn r;", [("r", ())]),
+    ("var r = 1;", [("missing", ()), ("r", ()), ("player", ())]),
+    ("function f() { return g(); }\nfunction g() { return u; }\n"
+     "var r = 0;", [("f", ())]),
+)
+
+#: Scripts whose every budget is checked across ``run`` and the
+#: ``call_function`` calls that follow it on the same interpreter.
+FAST_PATH_SWEEP = (
+    ('var f = 1.5, s = "2", n = null, hi = host.int(), hb = host.bool();'
+     '\nvar nan = +"nan", inf = +"inf", nz = -0;\n'
+     "player.log(f + 1, 1 + f, s + 1, 2 * s, hi - 1, hb * 2, n + 1);\n"
+     "player.log(nan <= 1, 1 >= nan, nan < f, inf > f, nz == 0, f / 2,"
+     ' 7 % f, s < "3", "a" + null, f === 1.5, hi != 3);\n'
+     "var m = Math.max(f, 3, hi); player.log(m, 2, \"x\", null, true);\n",
+     []),
+    ("var o = {k: 1}, arr = [1, 2, 3], i = 0;\n"
+     'o.k += 2; o["k"] *= 3; arr[0] -= 1; arr[i] /= 2; arr[3] = 9;\n'
+     'host.p += 1; host.q = "x"; i++; o.k--; arr[1]++;\n'
+     "player.log(o.k, arr, host.p, i);\n"
+     "for (var j = 0; j < 3; j++) { i += j; arr[j] %= 2; player.log(i); }\n",
+     []),
+    ("function outer(x) {\n"
+     "  function inner(y) { return y * 2; }\n"
+     "  var a = inner(x) + later(x);\n"
+     "  function later(z) { if (z > 2) { return z; } return -z; }\n"
+     "  if (a > 10) return a;\n"
+     "  for (var k = 0; k < 3; k++) { if (k == x) return k; }\n"
+     "  while (a < 100) { a = a * 3; if (a > 50) return a; }\n"
+     "  return;\n"
+     "}\n"
+     'function bare() { player.log("bare"); return; }\n'
+     'function none(p) { player.log("none", p); }\n'
+     "var r1 = outer(1), r2 = outer(5), r3 = bare(), r4 = none(7);\n"
+     "player.log(r1, r2, r3, r4);\n",
+     [("outer", (2.0,)), ("none", ("x",)), ("bare", ()),
+      ("outer", (3.0,))]),
+)
+
+
+def session(log: list[str], budget: int) -> Interpreter:
+    """An interpreter with a logging ``player`` and a ``host`` whose
+    methods return Python ``int`` and ``bool`` values."""
+    player = HostObject("player", methods={
+        "log": lambda *args: log.append(",".join(render(a) for a in args)),
+    })
+    host = HostObject("host", methods={
+        "int": lambda: 3, "zero": lambda: 0, "bool": lambda: True,
+        "no": lambda: False, "boom": lambda *args: {}["boom"],
+    }, properties={"p": 1.0})
+    return Interpreter({"player": player, "host": host},
+                       max_instructions=budget)
+
+
+def run_session(source: str, calls, budget: int
+                ) -> tuple[bool, str, list[str]]:
+    """Run *source*, then each ``call_function`` of *calls*, on one
+    interpreter; return whether all succeeded, the outcome of each
+    step up to the first failure, and the host-call log."""
+    log: list[str] = []
+    interpreter = session(log, budget)
+    steps = []
+    try:
+        result = interpreter.run(source)
+        steps.append(f"{render(result.globals)} #{result.instructions}")
+        for name, args in calls:
+            steps.append(render(interpreter.call_function(name, *args)))
+    except Exception as exc:
+        steps.append(describe(exc))
+        ok = False
+    else:
+        ok = True
+    host = interpreter.globals.values["host"]
+    steps.append(render(host.properties))
+    return ok, " | ".join(steps), log
+
+
+def binary_transcript() -> list[str]:
+    """Every binary operator over every pair of operand forms, each
+    expression run alone on an interpreter that holds the operands."""
+    parts = []
+    for op in BINARY:
+        log: list[str] = []
+        interpreter = session(log, BUDGET)
+        interpreter.run(OPERAND_PRELUDE)
+        for left in OPERANDS:
+            for right in OPERANDS:
+                source = f"var r = {left} {op} {right};"
+                try:
+                    result = interpreter.run(source)
+                    outcome = (f"{render(result.globals['r'])}"
+                               f" #{result.instructions}")
+                except Exception as exc:
+                    outcome = describe(exc)
+                parts += [source, outcome]
+        parts.append(repr(log))
+    return parts
+
+
+def fast_path_transcript() -> list[str]:
+    parts = binary_transcript()
+    cases = []
+    for target in ASSIGN_TARGETS:
+        for op in ASSIGN:
+            for value in ASSIGN_VALUES:
+                cases.append(f"{ASSIGN_PRELUDE}\n{target} {op} {value};")
+        cases.append(f"{ASSIGN_PRELUDE}\nx = {target} = 5;")
+    for target in POSTFIX_TARGETS:
+        for op in ("++", "--"):
+            cases.append(f"{ASSIGN_PRELUDE}\nvar r = {target}{op};")
+    cases += [f"{CALL_PRELUDE}\nvar r = {call};" for call in CALLS]
+    for source in cases:
+        parts += [source, *map(str, run_session(source, [], BUDGET))]
+    for source, calls in FUNCTIONS:
+        parts += [source, repr(calls),
+                  *map(str, run_session(source, calls, BUDGET))]
+    return parts
+
+
+def fast_path_sweep_transcript() -> list[str]:
+    """Each sweep script at every budget from 0 to one past the
+    smallest that runs it and all its calls to the end."""
+    parts = []
+    for source, calls in FAST_PATH_SWEEP:
+        for budget in range(10_000):
+            ok, outcome, log = run_session(source, calls, budget)
+            parts += [str(budget), outcome, repr(log)]
+            if ok:
+                break
+        assert ok, outcome
+        parts += [*map(str, run_session(source, calls, budget + 1))]
+    return parts
+
+
+def test_fast_path_corpus_matches_the_dispatching_walker():
+    assert digest(fast_path_transcript()) == FAST_PATH_SHA256
+
+
+def test_fast_path_budgets_match_the_dispatching_walker():
+    assert digest(fast_path_sweep_transcript()) == FAST_PATH_SWEEP_SHA256

@@ -288,6 +288,68 @@ def test_xpath_subset_track_signatures_bar_replaced_script(disc,
         disc_player.launch_disc_application("menu")
 
 
+@pytest.mark.parametrize("scheme", ["code", "script"])
+def test_partly_signed_application_is_barred_without_blaming_an_attack(
+        disc, trust_store, scheme):
+    """CODE and SCRIPT signatures cover a part of each manifest, never
+    the manifest: its application is barred as signed only below
+    manifest level, while an application injected next to it, which no
+    signature reaches into, is still barred as a wrapping attack."""
+    clean = player(trust_store)
+    assert clean.insert_disc(disc(scheme)).authenticated
+    with pytest.raises(ApplicationRejectedError, match=(
+            "application 'menu' is not covered by a disc signature as a "
+            "whole: only parts of it are signed, below manifest level")
+            ) as rejected:
+        clean.launch_disc_application("menu")
+    assert "attack" not in str(rejected.value)
+    injected = player(trust_store)
+    assert injected.insert_disc(disc(scheme, "injected")).authenticated
+    with pytest.raises(ApplicationRejectedError,
+                       match="only parts of it are signed"):
+        injected.launch_disc_application("menu")
+    with pytest.raises(ApplicationRejectedError, match=(
+            "application 'evil-app' is not covered by any disc signature "
+            r"\(wrapping attack suspected\)")):
+        injected.launch_disc_application("evil-app")
+
+
+@pytest.mark.parametrize("scheme", ["code", "script"])
+def test_signed_part_moved_into_an_injected_application(disc, trust_store,
+                                                       scheme):
+    """A wrapping move: the menu's signed part and an injected
+    application's unsigned one trade places, and the part's ``#id``
+    reference still finds it with its digest intact.  Both applications
+    are barred.  The injected one holds a signed part, so its message
+    names the move as one reading and claims no whole-application
+    signature; the menu holds none and is barred as a wrapping
+    attack."""
+    attacked = inject_wrapped_manifest(disc(scheme), "evil-app",
+                                       payload='player.log("INJECTED");')
+    cluster = attacked.cluster_element()
+    evil, menu = app_tracks(cluster)[:2]
+    signed = next(menu.iter(scheme, NS))
+    unsigned = next(evil.iter(scheme, NS))
+    menu_side, evil_side = signed.parent, unsigned.parent
+    slot = element(scheme, NS)
+    menu_side.replace(signed, slot)
+    evil_side.replace(unsigned, signed)
+    menu_side.replace(slot, unsigned)
+    attacked.write(attacked.layout.cluster_path(), serialize_bytes(cluster))
+    disc_player = player(trust_store)
+    assert disc_player.insert_disc(attacked).authenticated
+    with pytest.raises(ApplicationRejectedError, match=(
+            "application 'evil-app' is not covered by a disc signature as "
+            "a whole: only parts of it are signed, below manifest level "
+            r"\(a disc signed at that level, or signed parts moved into "
+            r"it\)")):
+        disc_player.launch_disc_application("evil-app")
+    with pytest.raises(ApplicationRejectedError, match=(
+            "application 'menu' is not covered by any disc signature "
+            r"\(wrapping attack suspected\)")):
+        disc_player.launch_disc_application("menu")
+
+
 def test_manifest_signed_disc_audits_like_the_player_covers(disc,
                                                            trust_store):
     """The auditor reads the manifest entries the player validates, so
