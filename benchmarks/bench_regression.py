@@ -1,7 +1,7 @@
 """Benchmark-regression gate for CI.
 
 Runs a small, deterministic subset of the ABL benchmarks, writes the
-results to a JSON artifact (``BENCH_PR23.json`` by default) and fails —
+results to a JSON artifact (``BENCH_PR24.json`` by default) and fails —
 exit status 1 — when any tracked metric regresses more than the
 threshold (20% by default) against the committed
 ``benchmarks/baseline.json``.  After the drift table it prints the
@@ -21,7 +21,7 @@ normalization at all.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_regression.py \
-        --output BENCH_PR23.json
+        --output BENCH_PR24.json
     PYTHONPATH=src python benchmarks/bench_regression.py \
         --update-baseline        # refresh benchmarks/baseline.json
 """
@@ -68,6 +68,9 @@ DIRECTIONS = {
     # XML front end: one parse of the pinned signed disc cluster under
     # the default guard (the studio and player read path)
     "parse_cluster_norm": "lower",
+    # XML writer: one serialize of that cluster, parsed once (the
+    # studio's write path)
+    "serialize_cluster_norm": "lower",
     # accelerated-provider legs (PR 7): the hardware-crypto deployment
     # shape must stay >= 5x faster than the pure baseline was
     "sign_detached_accel_norm": "lower",
@@ -316,6 +319,25 @@ def run_benchmarks() -> dict:
 
     parse_norm, parse_time = normalized(parse_cluster_repeated)
 
+    # XML writer: serialize the same cluster, parsed once; repeated
+    # the same way.
+    from repro.xmlcore import serialize, serialize_bytes
+
+    parsed_cluster = parse_cluster()
+    if serialize_bytes(parsed_cluster) != cluster:
+        raise SystemExit("serialize bench cluster does not round-trip")
+
+    def serialize_cluster():
+        return serialize(parsed_cluster)
+
+    serialize_repeat = max(1, math.ceil(0.02 / measure(serialize_cluster)))
+
+    def serialize_cluster_repeated():
+        for _ in range(serialize_repeat):
+            serialize_cluster()
+
+    serialize_norm, serialize_time = normalized(serialize_cluster_repeated)
+
     # ABL-ANALYZE: the one analysis command, cold vs. memoized.
     import shutil
     import tempfile
@@ -400,6 +422,7 @@ def run_benchmarks() -> dict:
             "audit_8sig_norm": audit_norm,
             "script_run_norm": script_norm,
             "parse_cluster_norm": parse_norm / parse_repeat,
+            "serialize_cluster_norm": serialize_norm / serialize_repeat,
             "analyze_cold_norm": analyze_norm,
             "analyze_warm_ratio": analyze_warm_time / warm_cold_time,
             "journal_commit_norm": journal_norm,
@@ -417,6 +440,7 @@ def run_benchmarks() -> dict:
             "audit_8sig": audit_time,
             "script_run": script_run_time,
             "parse_cluster": parse_time / parse_repeat,
+            "serialize_cluster": serialize_time / serialize_repeat,
             "analyze_cold": analyze_cold_time,
             "analyze_warm": analyze_warm_time,
             "journal_commit_50": journal_commit_time,
@@ -523,7 +547,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default="BENCH_PR23.json",
+        default="BENCH_PR24.json",
         help="result artifact path",
     )
     parser.add_argument(

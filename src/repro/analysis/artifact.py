@@ -163,6 +163,28 @@ def _is_descendant(node: Element, ancestor: Element) -> bool:
     return False
 
 
+def _elements(top: Element, skipped, *, opaque: bool = False
+              ) -> list[Element]:
+    """*top* and its descendant elements in document order, less each
+    element of *skipped* with its subtree and, when *opaque*, what
+    lies inside an EncryptedData (ciphertext internals)."""
+    out: list[Element] = []
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        if node in skipped:
+            continue
+        out.append(node)
+        if opaque and node.matches("EncryptedData", XMLENC_NS):
+            continue
+        children = node.children
+        for index in range(len(children) - 1, -1, -1):
+            child = children[index]
+            if isinstance(child, Element):
+                stack.append(child)
+    return out
+
+
 @dataclass
 class _DocumentAudit:
     """Per-document working state for one artifact."""
@@ -426,9 +448,11 @@ class ArtifactAuditor:
                 "the signature is not inside the referenced subtree",
             ))
         if target is not None:
-            subtree = [el for el in target.iter()
-                       if not (enveloped
-                               and _is_descendant(el, signature))]
+            if enveloped and _is_descendant(target, signature):
+                subtree = []
+            else:
+                subtree = _elements(target,
+                                    (signature,) if enveloped else ())
             covered_ids.update(id(el) for el in subtree)
             entry["covers"] = _node_locator(doc.root, target)
             entry["elements"] = len(subtree)
@@ -451,14 +475,11 @@ class ArtifactAuditor:
         for ids in covered.values():
             all_covered.update(ids)
         unsigned: list[str] = []
-        for node in doc.root.iter():
+        # Signature-internal markup and ciphertext internals are left
+        # out of the walk.
+        for node in _elements(doc.root, set(doc.signatures), opaque=True):
             if id(node) in all_covered:
                 continue
-            if any(_is_descendant(node, s) for s in doc.signatures):
-                continue  # signature-internal markup
-            if any(a.matches("EncryptedData", XMLENC_NS)
-                   for a in self._ancestors(node)):
-                continue  # opaque ciphertext internals
             locator = _node_locator(doc.root, node)
             if node.local in EXECUTABLE_LOCALS:
                 self.result.findings.append(SEC020.finding(
@@ -476,13 +497,6 @@ class ArtifactAuditor:
                 unsigned.append(locator)
         if self.result.coverage and unsigned:
             self.result.coverage[-1]["unsigned"] = unsigned
-
-    @staticmethod
-    def _ancestors(node: Element):
-        current = node.parent
-        while isinstance(current, Element):
-            yield current
-            current = current.parent
 
     # -- permission / policy consistency --------------------------------------
 

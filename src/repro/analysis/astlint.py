@@ -76,8 +76,8 @@ LIN105 = register(
     "LIN105", "raw primitive reached outside provider", Severity.ERROR,
     "code",
     "A module outside repro.primitives imports a raw primitive "
-    "(aes/des/rsa/sha/modes/keywrap/prime) instead of going through "
-    "primitives.provider.",
+    "(aes/des/rsa/sha/modes/keywrap/prime, or an HMAC construction) "
+    "instead of going through primitives.provider.",
 )
 
 LIN108 = register(
@@ -126,10 +126,12 @@ _WALL_CLOCK = {("time", "time"), ("time", "monotonic"),
                ("datetime", "now"), ("datetime", "utcnow")}
 
 # LIN105: primitive modules only the provider may touch.  keys,
-# encoding, random, padding and the constant-time helper in hmac are
-# data-model/utility surfaces, not raw algorithms.
+# encoding, random and padding are data-model/utility surfaces, not
+# raw algorithms; hmac is both, so only its MAC constructions count
+# (its constant-time helper is a utility).
 _RAW_PRIMITIVES = {"aes", "des", "rsa", "sha", "modes", "keywrap",
                    "prime"}
+_RAW_HMAC_NAMES = {"HMAC", "hmac_sha1", "hmac_sha256"}
 
 # LIN106: where XML arrives from the other side of a trust boundary.
 _UNTRUSTED_DIRS = ("/network/", "/xkms/", "/xmlenc/", "/player/")
@@ -485,9 +487,17 @@ class ModuleLint:
             if parts[:2] == ["repro", "primitives"]:
                 if len(parts) > 2 and parts[2] in _RAW_PRIMITIVES:
                     self._raw_import(node, node.module)
+                elif parts[2:] == ["hmac"]:
+                    for alias in node.names:
+                        if alias.name in _RAW_HMAC_NAMES:
+                            self._raw_import(
+                                node,
+                                f"repro.primitives.hmac.{alias.name}",
+                            )
                 elif len(parts) == 2:
                     for alias in node.names:
-                        if alias.name in _RAW_PRIMITIVES:
+                        if alias.name in _RAW_PRIMITIVES or \
+                                alias.name == "HMAC":
                             self._raw_import(
                                 node,
                                 f"repro.primitives.{alias.name}",

@@ -89,23 +89,28 @@ def sign_at_level(cluster_root: Element, level: ProtectionLevel,
 
     The cluster level uses a single enveloped signature over the whole
     document; all other levels use one detached same-document signature
-    per target.
+    per target, and ``protected_bytes`` sums the canonical octets each
+    of their digests streamed.
     """
-    from repro.xmlcore import canonicalize
     result = LevelProtectionResult(level)
     if level is ProtectionLevel.CLUSTER:
+        from repro.xmlcore import canonicalize
         signature = signer.sign_enveloped(cluster_root)
         result.signatures.append(signature)
         result.target_ids.append(cluster_root.get("Id") or "")
+        # The signed document, its signature included: octets no
+        # digest streams (the enveloped transform leaves it out).
         result.protected_bytes = len(canonicalize(cluster_root))
         return result
     for target in protection_targets(cluster_root, level):
         target_id = target.get("Id") or ""
-        signature = signer.sign_detached(f"#{target_id}",
-                                         parent=cluster_root)
+        # sign_detached's reference, kept to read its digested octets.
+        reference = signer.detached_reference(f"#{target_id}")
+        signature = signer.sign_references([reference],
+                                           parent=cluster_root)
         result.signatures.append(signature)
         result.target_ids.append(target_id)
-        result.protected_bytes += len(canonicalize(target))
+        result.protected_bytes += reference.digested_octets
     return result
 
 

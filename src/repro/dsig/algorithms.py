@@ -62,12 +62,13 @@ def compute_digest_canonical(algorithm: str, node: Node,
                              c14n_algorithm: str = C14N,
                              inclusive_prefixes: tuple[str, ...] = (),
                              provider: CryptoProvider | None = None,
-                             *, guard=None) -> bytes:
+                             *, guard=None) -> tuple[bytes, int]:
     """Digest the canonical form of *node* without materialising it.
 
     The streaming counterpart of ``compute_digest(algorithm,
     canonicalize(node, ...))``: canonical chunks feed an incremental
     hash context from the provider, so only one chunk is ever held.
+    Returns the digest and the number of canonical octets digested.
     """
     provider = provider or get_provider()
     metrics.counter("digest.ops").increment()
@@ -79,7 +80,7 @@ def compute_digest_canonical(algorithm: str, node: Node,
         )
         digest = context.digest()
     metrics.counter("digest.octets").increment(total)
-    return digest
+    return digest, total
 
 
 def signature_kind(algorithm: str) -> tuple[str, str]:

@@ -55,6 +55,8 @@ class Reference:
             verification).
         reference_id: optional Id attribute.
         reference_type: optional Type attribute (e.g. ``#Object``).
+        digested_octets: the octets signing digested for this reference
+            (set by :meth:`~repro.dsig.signer.Signer.sign_references`).
     """
 
     uri: str | None
@@ -63,6 +65,7 @@ class Reference:
     digest_value: bytes | None = None
     reference_id: str | None = None
     reference_type: str | None = None
+    digested_octets: int = field(default=0, compare=False)
 
     # -- XML mapping --------------------------------------------------------------
 
@@ -238,6 +241,14 @@ def compute_reference_digest(reference: Reference,
     hash context, so the full canonical string is never materialised
     just to be hashed.
     """
+    return digest_reference(reference, context, provider)[0]
+
+
+def digest_reference(reference: Reference, context: ReferenceContext,
+                     provider: CryptoProvider | None = None
+                     ) -> tuple[bytes, int]:
+    """:func:`compute_reference_digest`, with the number of octets the
+    digest streamed (none when the cache answers)."""
     provider = provider or get_provider()
     with metrics.timer("dsig.reference_digest"):
         target = _fast_path_target(reference, context)
@@ -246,22 +257,27 @@ def compute_reference_digest(reference: Reference,
             algorithm = transforms[0].algorithm if transforms else C14N
             prefixes = (transforms[0].inclusive_prefixes
                         if transforms else ())
+            streamed = 0
 
             def compute() -> bytes:
                 # A pure-canonicalization chain cannot mutate the
                 # document, so the live subtree is digested directly:
                 # no working copy.
-                return algorithms.compute_digest_canonical(
+                nonlocal streamed
+                digest, streamed = algorithms.compute_digest_canonical(
                     reference.digest_method, target, algorithm,
                     prefixes, provider, guard=context.guard,
                 )
+                return digest
 
             if context.cache is None:
-                return compute()
-            return context.cache.reference_digest(
-                context.root, target, algorithm, prefixes,
-                reference.digest_method, compute,
-            )
+                digest = compute()
+            else:
+                digest = context.cache.reference_digest(
+                    context.root, target, algorithm, prefixes,
+                    reference.digest_method, compute,
+                )
+            return digest, streamed
         value, tcontext = dereference(reference, context)
         digest_context = provider.hash_context(
             algorithms.digest_name(reference.digest_method)
@@ -278,7 +294,7 @@ def compute_reference_digest(reference: Reference,
             )
             digest = digest_context.digest()
         metrics.counter("digest.octets").increment(total)
-        return digest
+        return digest, total
 
 
 @dataclass

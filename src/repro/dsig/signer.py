@@ -24,7 +24,7 @@ from repro.certs.authority import SigningIdentity
 from repro.dsig import algorithms
 from repro.dsig.keyinfo import KeyInfo
 from repro.dsig.reference import (
-    Reference, ReferenceContext, compute_reference_digest, top_element,
+    Reference, ReferenceContext, digest_reference, top_element,
 )
 from repro.dsig.signedinfo import SignedInfo
 from repro.dsig.transforms import ENVELOPED_SIGNATURE, Transform
@@ -150,16 +150,27 @@ class Signer:
         *parent* to place the signature inside the same document but
         outside the target).  For an external target pass *resolver*.
         """
+        return self.sign_references(
+            [self.detached_reference(uri, transforms)], parent=parent,
+            document_root=document_root, resolver=resolver,
+            signature_id=signature_id,
+        )
+
+    def detached_reference(self, uri: str,
+                           transforms: list[Transform] | None = None
+                           ) -> Reference:
+        """The reference :meth:`sign_detached` signs over *uri*.
+
+        Without *transforms*, a same-document target is canonicalized
+        under the signer's C14N method and an external one is digested
+        as fetched.
+        """
         if transforms is None:
             transforms = [] if not (uri == "" or uri.startswith("#")) \
                 else [Transform(self.c14n_method)]
-        reference = Reference(
+        return Reference(
             uri=uri, transforms=transforms,
             digest_method=self.digest_method,
-        )
-        return self.sign_references(
-            [reference], parent=parent, document_root=document_root,
-            resolver=resolver, signature_id=signature_id,
         )
 
     def sign_references(self, references: list[Reference], *,
@@ -171,7 +182,9 @@ class Signer:
         """General form: sign an arbitrary reference list.
 
         When *parent* is given the signature is appended there before
-        digests are computed (so document context is final).
+        digests are computed (so document context is final).  Each of
+        *references* gets the number of octets its digest streamed in
+        ``digested_octets``.
         """
         signed_info = SignedInfo(
             self.c14n_method, self.signature_method, list(references),
@@ -180,10 +193,12 @@ class Signer:
         if parent is not None:
             parent.append(signature)
             document_root = top_element(parent)
-        self._finalize(
+        digested = self._finalize(
             signature, document_root=document_root, resolver=resolver,
             decryptor=decryptor, namespaces=namespaces,
         )
+        for reference, octets in zip(references, digested):
+            reference.digested_octets = octets
         return signature
 
     # -- internals ------------------------------------------------------------------
@@ -212,12 +227,12 @@ class Signer:
     def _finalize(self, signature: Element, *,
                   document_root: Element | None,
                   resolver=None, decryptor=None,
-                  namespaces: dict[str, str] | None = None) -> None:
+                  namespaces: dict[str, str] | None = None) -> list[int]:
         provider = self.provider
         with metrics.timer("dsig.sign"), \
                 metrics.timer(f"dsig.sign.{provider.name}"):
             metrics.counter("dsig.sign.signatures").increment()
-            self._finalize_timed(
+            return self._finalize_timed(
                 signature, document_root=document_root,
                 resolver=resolver, decryptor=decryptor,
                 namespaces=namespaces,
@@ -226,7 +241,10 @@ class Signer:
     def _finalize_timed(self, signature: Element, *,
                         document_root: Element | None,
                         resolver=None, decryptor=None,
-                        namespaces: dict[str, str] | None = None) -> None:
+                        namespaces: dict[str, str] | None = None
+                        ) -> list[int]:
+        """Fill every DigestValue and the SignatureValue; returns the
+        octets each reference's digest streamed."""
         provider = self.provider
         signed_info_el = signature.first_child("SignedInfo", DSIG_NS)
         assert signed_info_el is not None
@@ -239,10 +257,11 @@ class Signer:
             child for child in signed_info_el.child_elements()
             if child.local == "Reference"
         ]
+        digested = []
         for reference_el in reference_els:
             reference = Reference.from_element(reference_el)
-            digest = compute_reference_digest(reference, context,
-                                              provider)
+            digest, octets = digest_reference(reference, context, provider)
+            digested.append(octets)
             value_el = reference_el.first_child("DigestValue", DSIG_NS)
             assert value_el is not None
             value_el.children.clear()
@@ -259,3 +278,4 @@ class Signer:
         assert value_el is not None
         value_el.children.clear()
         value_el.append(Text(b64encode(signature_value)))
+        return digested

@@ -405,6 +405,11 @@ class Interpreter:
                         self._exec(statement, env)
             except _Return as ret:
                 return ret.value
+            except (_Break, _Continue) as signal:
+                # A function body is not inside the caller's loop.
+                raise ScriptRuntimeError(
+                    f"{signal.statement!r} outside a loop"
+                ) from None
             finally:
                 self._calls -= 1
             return None

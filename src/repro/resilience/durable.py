@@ -47,7 +47,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import DurableStateError
-from repro.primitives.hmac import constant_time_equal, hmac_sha256
+from repro.primitives.hmac import constant_time_equal
 from repro.primitives.provider import CryptoProvider, get_provider
 from repro.resilience.crashfs import Filesystem, OsFilesystem
 from repro.resilience.degradation import DegradationLog, REASON_RECOVERY
@@ -123,7 +123,7 @@ class Journal:
         integrity_key: when given, frames are HMAC-SHA-256'd under this
             key instead of plain SHA-256 — detects *substitution* of
             the whole journal, not just corruption.
-        provider: crypto provider for the digest primitive.
+        provider: crypto provider for the digest and MAC primitives.
     """
 
     def __init__(self, fs: Filesystem, path: str, *,
@@ -141,7 +141,8 @@ class Journal:
 
     def _checksum(self, payload: bytes) -> bytes:
         if self._key is not None:
-            return hmac_sha256(self._key, JOURNAL_MAGIC + payload)
+            return self._provider.hmac("sha256", self._key,
+                                       JOURNAL_MAGIC + payload)
         return self._provider.digest("sha256", JOURNAL_MAGIC + payload)
 
     def _frame(self, frame_type: int, seq: int, body: bytes) -> bytes:
@@ -450,7 +451,8 @@ class DurableStore:
 
     def _snapshot_checksum(self, payload: bytes) -> bytes:
         if self._key is not None:
-            return hmac_sha256(self._key, SNAPSHOT_MAGIC + payload)
+            return self._provider.hmac("sha256", self._key,
+                                       SNAPSHOT_MAGIC + payload)
         return self._provider.digest("sha256", SNAPSHOT_MAGIC + payload)
 
     def _load_snapshot(self) -> int:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from repro.errors import (
     DurableStateError, ResourceLimitExceeded, XKMSError, XMLError,
 )
-from repro.primitives.hmac import constant_time_equal, hmac_sha256
+from repro.primitives.hmac import constant_time_equal
 from repro.primitives.keys import RSAPublicKey
+from repro.primitives.provider import get_provider
 from repro.resilience.durable import DurableStore
 from repro.resilience.limits import ResourceGuard, ResourceLimits
 from repro.xkms.messages import (
@@ -35,8 +36,10 @@ from repro.xmlcore import parse_element, serialize
 
 
 def authentication_proof(secret: bytes, key_name: str) -> str:
-    """Compute the X-KRSS authentication value for *key_name*."""
-    return hmac_sha256(secret, key_name.encode("utf-8")).hex()
+    """Compute the X-KRSS authentication value for *key_name*: its
+    HMAC-SHA-256 under *secret*, through the crypto provider."""
+    return get_provider().hmac(
+        "sha256", secret, key_name.encode("utf-8")).hex()
 
 
 @dataclass

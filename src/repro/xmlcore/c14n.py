@@ -208,11 +208,6 @@ class _ChunkSink:
         self._emit(data)
 
 
-# Work-stack item tags for the iterative element writer.
-_START = 0
-_LIT = 1
-
-
 class _Canonicalizer:
     """Streams canonical text pieces into a ``write(str)`` callback.
 
@@ -220,7 +215,8 @@ class _Canonicalizer:
     in-scope namespace axis incrementally: each element's axis is its
     parent's axis updated with the element's own declarations, so the
     per-element cost no longer grows with tree depth the way repeated
-    ``in_scope_namespaces()`` ancestor walks did.
+    ``in_scope_namespaces()`` ancestor walks did.  A work item is a
+    literal ``str`` to write or an element tuple.
     """
 
     def __init__(self, exclusive: bool, with_comments: bool,
@@ -269,57 +265,74 @@ class _Canonicalizer:
     def _element(self, element: Element, rendered: dict[str | None, str],
                  apex: bool) -> None:
         write = self.write
+        exclusive = self.exclusive
         with_comments = self.with_comments
         # The apex namespace axis still needs the ancestor walk; every
         # descendant axis is derived incrementally in the loop below.
         apex_axis = element.in_scope_namespaces()
         apex_axis.pop("xml", None)  # the implicit xml binding: never emitted
-        stack: list = [(_START, element, rendered, apex_axis, apex)]
+        stack: list = [(element, rendered, apex_axis, apex)]
+        push = stack.append
+        pop = stack.pop
         while stack:
-            item = stack.pop()
-            if item[0] == _LIT:
-                write(item[1])
+            item = pop()
+            if item.__class__ is str:
+                write(item)
                 continue
-            _, element, rendered, ns_axis, apex = item
+            element, rendered, ns_axis, apex = item
 
-            if self.exclusive:
-                to_render = self._exclusive_ns(element, ns_axis, rendered)
+            if apex or exclusive or element.ns_decls:
+                if exclusive:
+                    to_render = self._exclusive_ns(element, ns_axis,
+                                                   rendered)
+                else:
+                    to_render = {
+                        prefix: uri for prefix, uri in ns_axis.items()
+                        if rendered.get(prefix) != uri
+                    }
+                emit_default_undecl = (
+                    None not in ns_axis
+                    and rendered.get(None) not in (None, "")
+                )
+                if to_render or emit_default_undecl:
+                    child_rendered = dict(rendered)
+                    child_rendered.update(to_render)
+                    if emit_default_undecl:
+                        child_rendered.pop(None, None)
+                else:
+                    child_rendered = rendered
             else:
-                to_render = {
-                    prefix: uri for prefix, uri in ns_axis.items()
-                    if rendered.get(prefix) != uri
-                }
-            emit_default_undecl = (
-                None not in ns_axis and rendered.get(None) not in (None, "")
-            )
-
-            if to_render or emit_default_undecl:
-                child_rendered = dict(rendered)
-                child_rendered.update(to_render)
-                if emit_default_undecl:
-                    child_rendered.pop(None, None)
-            else:
+                # Inclusive, below the apex, declaring nothing: the axis
+                # is the parent's and *rendered* is the parent's
+                # child_rendered, which maps every prefix of that axis
+                # to its URI, so no namespace node and no default
+                # undeclaration is rendered (DESIGN §3.2).
+                to_render = None
+                emit_default_undecl = False
                 child_rendered = rendered
 
-            attrs = list(element.attrs)
-            if apex and not self.exclusive \
+            attrs = element.attrs
+            if apex and not exclusive \
                     and isinstance(element.parent, Element):
-                attrs = self._inherit_xml_attributes(element, attrs)
+                attrs = self._inherit_xml_attributes(element, list(attrs))
 
             self._check_prefixes(element, ns_axis)
 
-            write(f"<{element.qname}")
-            ns_items = sorted(to_render.items(), key=lambda kv: kv[0] or "")
+            qname = element.qname
+            write("<" + qname)
             if emit_default_undecl:
-                ns_items.insert(0, (None, ""))
-            for prefix, uri in ns_items:
-                name = f"xmlns:{prefix}" if prefix else "xmlns"
-                write(f' {name}="{escape_attribute(uri)}"')
-            for attr in sorted(attrs, key=lambda a: (a.ns_uri or "", a.local)):
+                write(' xmlns=""')
+            if to_render:
+                for prefix in sorted(to_render, key=_prefix_order):
+                    name = f"xmlns:{prefix}" if prefix else "xmlns"
+                    write(f' {name}="{escape_attribute(to_render[prefix])}"')
+            if len(attrs) > 1:
+                attrs = sorted(attrs, key=_attribute_order)
+            for attr in attrs:
                 write(f' {attr.qname}="{escape_attribute(attr.value)}"')
             write(">")
 
-            stack.append((_LIT, f"</{element.qname}>"))
+            push(f"</{qname}>")
             children = element.children
             for index in range(len(children) - 1, -1, -1):
                 child = children[index]
@@ -336,16 +349,14 @@ class _Canonicalizer:
                                 child_axis[prefix] = uri
                     else:
                         child_axis = ns_axis
-                    stack.append(
-                        (_START, child, child_rendered, child_axis, False)
-                    )
+                    push((child, child_rendered, child_axis, False))
                 elif isinstance(child, Text):
-                    stack.append((_LIT, escape_text(child.data)))
+                    push(escape_text(child.data))
                 elif isinstance(child, ProcessingInstruction):
                     data = f" {child.data}" if child.data else ""
-                    stack.append((_LIT, f"<?{child.target}{data}?>"))
+                    push(f"<?{child.target}{data}?>")
                 elif isinstance(child, Comment) and with_comments:
-                    stack.append((_LIT, f"<!--{child.data}-->"))
+                    push(f"<!--{child.data}-->")
 
     def _exclusive_ns(self, element: Element,
                       ns_axis: dict[str | None, str],
@@ -399,3 +410,11 @@ class _Canonicalizer:
 
     def _comment(self, comment: Comment) -> None:
         self.write(f"<!--{comment.data}-->")
+
+
+def _prefix_order(prefix: str | None) -> str:
+    return prefix or ""
+
+
+def _attribute_order(attr) -> tuple[str, str]:
+    return (attr.ns_uri or "", attr.local)

@@ -355,13 +355,23 @@ class Element(Node):
         """Yield this element and all descendant elements, document order.
 
         With *local* (and optionally *ns_uri*) given, only matching
-        elements are yielded.
+        elements are yielded.  The walk holds one iterator per open
+        child list, so it reads each list as a generator recursion
+        would (a caller may mutate the tree between yields, with the
+        same effect) and reaches any depth.
         """
         if local is None or self.matches(local, ns_uri):
             yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter(local, ns_uri)
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    if local is None or child.matches(local, ns_uri):
+                        yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def child_elements(self) -> list["Element"]:
         """Direct element children."""
@@ -460,11 +470,31 @@ class Element(Node):
     # -- copying ---------------------------------------------------------------
 
     def copy(self) -> "Element":
-        clone = Element(self.local, self.ns_uri, self.prefix)
-        clone.attrs = [a.copy() for a in self.attrs]
-        clone.ns_decls = dict(self.ns_decls)
-        for child in self.children:
-            clone.append(child.copy())
+        """Deep-copy this subtree (parent link cleared).
+
+        The clone is built without ``append`` and its walk to the root:
+        every clone node takes one fresh stamp, so none is newer than
+        its parent (DESIGN §3.2).  Each local name gets the
+        constructor's check.
+        """
+        stamp = fresh_stamp()
+        clone = _cloned_element(self, None, stamp)
+        stack = [(self, clone)]
+        while stack:
+            source, target = stack.pop()
+            siblings = target.children
+            for child in source.children:
+                if isinstance(child, Element):
+                    copied = _cloned_element(child, target, stamp)
+                    if child.children:
+                        stack.append((child, copied))
+                else:
+                    # Text, comment or PI: every field is immutable.
+                    copied = _new_node(child.__class__)
+                    copied.__dict__.update(child.__dict__)
+                    copied.parent = target
+                    copied.revision = stamp
+                siblings.append(copied)
         return clone
 
     def detached_copy(self) -> "Element":
@@ -535,9 +565,25 @@ class Document(Node):
             return "<Document (empty)>"
 
 
+#: Local names already found valid, so a name check is mostly one set
+#: lookup.  A name's validity never changes, so the memo is shared by
+#: every caller and outlives each document.  Names come from untrusted
+#: documents, so it keeps only names of vocabulary length, and only up
+#: to its bound: at most ``_MEMO_NAMES * _MEMO_NAME_CHARS`` characters
+#: stay alive across documents.  Other names are checked in full.
+_VALID_LOCAL_NAMES: set[str] = set()
+_MEMO_NAMES = 4096
+_MEMO_NAME_CHARS = 64
+
+
 def _check_local_name(local: str) -> None:
+    if local in _VALID_LOCAL_NAMES:
+        return
     if not is_valid_name(local) or ":" in local:
         raise XMLError(f"invalid element local name {local!r}")
+    if len(local) <= _MEMO_NAME_CHARS \
+            and len(_VALID_LOCAL_NAMES) < _MEMO_NAMES:
+        _VALID_LOCAL_NAMES.add(local)
 
 
 # -- the parser's node factories ---------------------------------------------
@@ -574,6 +620,23 @@ def parsed_element(local: str, ns_uri: str | None, prefix: str | None,
     node.children = []
     if parent is not None:
         parent.children.append(node)
+    return node
+
+
+def _cloned_element(source: Element, parent: "Element | None",
+                    stamp: int) -> Element:
+    """A copy of *source* alone (no children yet), linked to *parent*."""
+    local = source.local
+    _check_local_name(local)
+    node = _new_node(Element)
+    node.parent = parent
+    node.revision = stamp
+    node.local = local
+    node.prefix = source.prefix
+    node.ns_uri = source.ns_uri
+    node.attrs = [attr.copy() for attr in source.attrs]
+    node.ns_decls = dict(source.ns_decls)
+    node.children = []
     return node
 
 

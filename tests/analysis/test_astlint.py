@@ -217,6 +217,19 @@ def test_lin105_catches_from_package_import():
     assert "LIN105" in rule_ids(lint(snippet))
 
 
+@pytest.mark.parametrize("snippet", [
+    "from repro.primitives.hmac import hmac_sha256",
+    "from repro.primitives.hmac import hmac_sha1",
+    "from repro.primitives.hmac import HMAC",
+    "from repro.primitives.hmac import constant_time_equal, hmac_sha256",
+    "from repro.primitives import HMAC",
+])
+def test_lin105_catches_raw_hmac_import(snippet):
+    findings = lint(snippet)
+    assert rule_ids(findings) == {"LIN105"}
+    assert "route through primitives.provider" in findings[0].message
+
+
 def test_lin105_allows_provider_and_utilities():
     snippet = """
     from repro.primitives.provider import get_provider

@@ -21,6 +21,7 @@ import re
 
 import pytest
 
+from repro.errors import ScriptRuntimeError
 from repro.markup import (
     HostObject, Interpreter, ScriptFunction, tokenize,
 )
@@ -489,11 +490,21 @@ def test_corpus_covers_every_token_and_node_kind():
 # top-level ``return`` leaves without unwinding, and at the operands,
 # assignment targets and calls around them, literal and not.  Both
 # were recorded from the walker that dispatched every node through
-# ``_eval``/``_exec``.
+# ``_eval``/``_exec``, which let a ``break`` or ``continue`` at a
+# function body's top level act on the caller's loop.  The two
+# ``FUNCTIONS`` entries in :data:`REPINNED` pinned that; they now fail
+# as at top level ("'break' outside a loop", as ECMA-262 makes it a
+# syntax error) and were re-pinned.  Without them the transcript is
+# the recorded one (:data:`FAST_PATH_UNCHANGED_SHA256`).
 
 #: SHA-256 of :func:`fast_path_transcript`.
 FAST_PATH_SHA256 = (
-    "d3059d32814450491b2caec35b1a95619206feb0457a0c20350c5626611a0f36"
+    "45ee51d2f6135ad2b2e4bf23eddba3371f8c99c851e58702b141c07d38c34f0a"
+)
+#: SHA-256 of :func:`fast_path_transcript` without the REPINNED
+#: entries, as recorded from the dispatching walker.
+FAST_PATH_UNCHANGED_SHA256 = (
+    "7b983860aa0a0d57a52be64c8e4505bb51a02dc50194feaa9f9c1d965de67d93"
 )
 #: SHA-256 of :func:`fast_path_sweep_transcript`.
 FAST_PATH_SWEEP_SHA256 = (
@@ -554,9 +565,9 @@ CALL_PRELUDE = ('var f = 2.5, s = "s", n = null, arr = [1], o = {k: 1};'
 #: Function bodies: hoisted inner functions, a top-level ``return``,
 #: ``return`` nested in ``if``/``for``/``while`` and in a bare block, a
 #: bare ``return``, no ``return``, dead code after a ``return``, a
-#: ``break`` that leaves the caller's loop, recursion and closures;
-#: each is followed by ``call_function`` calls on the same
-#: interpreter.
+#: ``break`` or ``continue`` called from inside the caller's loop,
+#: recursion and closures; each is followed by ``call_function``
+#: calls on the same interpreter.
 FUNCTIONS = (
     ("function f(x) { function g() { return h(x) + 1; } return g();"
      " function h(y) { return y * 2; } }\nvar r = f(3);",
@@ -593,6 +604,14 @@ FUNCTIONS = (
     ("var r = 1;", [("missing", ()), ("r", ()), ("player", ())]),
     ("function f() { return g(); }\nfunction g() { return u; }\n"
      "var r = 0;", [("f", ())]),
+)
+
+#: The FUNCTIONS entries re-pinned since the recording (see above).
+REPINNED = (
+    "function f() { break; }\n"
+    "for (var i = 0; i < 3; i++) { f(); player.log(i); }\nvar r = i;",
+    "function f() { continue; }\n"
+    "var i = 0; while (i < 3) { i++; f(); player.log(i); }",
 )
 
 #: Scripts whose every budget is checked across ``run`` and the
@@ -688,7 +707,7 @@ def binary_transcript() -> list[str]:
     return parts
 
 
-def fast_path_transcript() -> list[str]:
+def fast_path_transcript(functions=FUNCTIONS) -> list[str]:
     parts = binary_transcript()
     cases = []
     for target in ASSIGN_TARGETS:
@@ -702,7 +721,7 @@ def fast_path_transcript() -> list[str]:
     cases += [f"{CALL_PRELUDE}\nvar r = {call};" for call in CALLS]
     for source in cases:
         parts += [source, *map(str, run_session(source, [], BUDGET))]
-    for source, calls in FUNCTIONS:
+    for source, calls in functions:
         parts += [source, repr(calls),
                   *map(str, run_session(source, calls, BUDGET))]
     return parts
@@ -725,6 +744,34 @@ def fast_path_sweep_transcript() -> list[str]:
 
 def test_fast_path_corpus_matches_the_dispatching_walker():
     assert digest(fast_path_transcript()) == FAST_PATH_SHA256
+
+
+def test_only_the_repinned_entries_changed():
+    kept = [entry for entry in FUNCTIONS if entry[0] not in REPINNED]
+    assert len(kept) == len(FUNCTIONS) - len(REPINNED)
+    assert digest(fast_path_transcript(kept)) == FAST_PATH_UNCHANGED_SHA256
+
+
+@pytest.mark.parametrize("source", REPINNED)
+def test_break_and_continue_do_not_leave_a_function(source):
+    statement = "break" if "break;" in source else "continue"
+    assert run_session(source, [], BUDGET) == (
+        False,
+        f"ScriptRuntimeError: '{statement}' outside a loop | {{'p':1.0}}",
+        [],
+    )
+    # The same from a host call, and inside a loop of the function's
+    # own it still leaves only that loop.
+    log: list[str] = []
+    interpreter = session(log, BUDGET)
+    interpreter.run(f"function g() {{ {statement}; }}\n"
+                    "function h() { for (var i = 0; i < 3; i++) {"
+                    f" if (i == 1) {statement}; player.log(i); }}"
+                    " return 7; }")
+    with pytest.raises(ScriptRuntimeError,
+                       match=f"'{statement}' outside a loop"):
+        interpreter.call_function("g")
+    assert interpreter.call_function("h") == 7.0
 
 
 def test_fast_path_budgets_match_the_dispatching_walker():
