@@ -1,7 +1,7 @@
 """Benchmark-regression gate for CI.
 
 Runs a small, deterministic subset of the ABL benchmarks, writes the
-results to a JSON artifact (``BENCH_PR24.json`` by default) and fails —
+results to a JSON artifact (``BENCH_PR25.json`` by default) and fails —
 exit status 1 — when any tracked metric regresses more than the
 threshold (20% by default) against the committed
 ``benchmarks/baseline.json``.  After the drift table it prints the
@@ -21,7 +21,7 @@ normalization at all.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_regression.py \
-        --output BENCH_PR24.json
+        --output BENCH_PR25.json
     PYTHONPATH=src python benchmarks/bench_regression.py \
         --update-baseline        # refresh benchmarks/baseline.json
 """
@@ -547,7 +547,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default="BENCH_PR24.json",
+        default="BENCH_PR25.json",
         help="result artifact path",
     )
     parser.add_argument(

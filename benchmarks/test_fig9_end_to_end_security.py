@@ -81,7 +81,8 @@ def test_fig9_ordering_information_is_essential(authoring, playback,
             manifest, encrypt_ids=(manifest.code_id,),
         )
         view = parse_package(package.data)
-        transforms = view.signature_element.find("Transforms", DSIG_NS)
+        signature = view.root.first_child("Signature", DSIG_NS)
+        transforms = signature.find("Transforms", DSIG_NS)
         decrypt_transform = transforms.child_elements()[0]
         assert "decrypt" in (decrypt_transform.get("Algorithm") or "")
         transforms.remove(decrypt_transform)

@@ -41,10 +41,6 @@ class Baseline:
             path=path,
         )
 
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> "Baseline":
-        return cls(fingerprints={f.fingerprint for f in findings})
-
     def save(self, path: str, findings: list[Finding]) -> None:
         """Write *findings* as the new accepted set (sorted, reviewable).
 

@@ -735,8 +735,7 @@ class Program:
                 if qname in self.functions or \
                         remainder[0] in self.modules[
                             candidate_module]["classes"]:
-                    return self._constructor_or_function(
-                        candidate_module, remainder[0])
+                    return qname
             elif len(remainder) == 2:
                 resolved = self._method(candidate_module, remainder[0],
                                         remainder[1])
@@ -744,24 +743,11 @@ class Program:
                     return resolved
         return None
 
-    def _constructor_or_function(self, module: str, name: str) -> str:
-        """A class name resolves to its ``__init__`` qname if present,
-        else a synthetic constructor qname ``module:Class``."""
-        info = self.modules[module]
-        if name in info["classes"]:
-            return f"{module}:{name}"
-        return f"{module}:{name}"
-
     def _method(self, module: str, cls: str, name: str) -> str | None:
         info = self.class_info(module, cls)
         if info is not None and name in info["methods"]:
             return f"{module}:{cls}.{name}"
         return None
-
-    def unique_method(self, name: str) -> str | None:
-        """The only definition of *name* across the program, if unique."""
-        qnames = self.methods_by_name.get(name, [])
-        return qnames[0] if len(qnames) == 1 else None
 
     def resolve_callee(self, module: str, dotted: str,
                        var_types: dict[str, tuple],

@@ -50,9 +50,9 @@ def sign_disc_image(image: DiscImage, signer: Signer, *,
 
     With *use_manifest* a single signature carries a ``ds:Manifest``
     listing every track and stream instead: core validation covers the
-    manifest list, and the player checks individual entries as it uses
-    them (XMLDSig §5.1 semantics — a damaged bonus track does not
-    invalidate the whole disc).
+    manifest list (XMLDSig §5.1).  The player validates every entry at
+    insert, so one damaged track leaves the disc unauthenticated; the
+    FIG4 bench checks only the entries in use (``only_uris``).
     """
     cluster_element = image.cluster_element()
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 from repro.errors import DiscFormatError
 from repro.disc.manifest import ApplicationManifest
+from repro.dsig.reference import outside_signatures
 from repro.permissions.request_file import PermissionRequestFile
 from repro.xmlcore import (
-    DISC_NS, DSIG_NS, MHP_PERMISSION_NS, element, parse_element,
-    serialize_bytes,
+    DISC_NS, MHP_PERMISSION_NS, element, parse_element, serialize_bytes,
 )
 from repro.xmlcore.tree import Element
 
@@ -42,18 +42,23 @@ class PackageView:
 
     root: Element
     manifest_element: Element
-    signature_element: Element | None = None
     permission_file: PermissionRequestFile | None = None
-
-    @property
-    def is_signed(self) -> bool:
-        return self.signature_element is not None
 
     def manifest(self) -> ApplicationManifest:
         return ApplicationManifest.from_element(self.manifest_element)
 
     def to_bytes(self) -> bytes:
         return serialize_bytes(self.root)
+
+
+def package_manifest(root: Element) -> Element | None:
+    """The manifest in a package root: its first manifest child, else
+    the first manifest below it outside every ds:Signature, the disc
+    namespace's first."""
+    return root.first_child("manifest", DISC_NS) or min(
+        (node for node in outside_signatures(root)
+         if node.local == "manifest"),
+        key=lambda node: node.ns_uri != DISC_NS, default=None)
 
 
 def parse_package(data: bytes | str | Element, *,
@@ -71,17 +76,11 @@ def parse_package(data: bytes | str | Element, *,
         raise DiscFormatError(
             f"expected applicationPackage, got {root.local!r}"
         )
-    manifest_element = root.first_child("manifest", DISC_NS) \
-        or root.first_child("manifest")
+    manifest_element = package_manifest(root)
     if manifest_element is None:
         # The manifest may be wholly encrypted; leave it to the
-        # playback pipeline to decrypt and re-parse.
+        # playback pipeline to decrypt and find it.
         manifest_element = root
-    signature_element = None
-    for child in root.child_elements():
-        if child.local == "Signature" and child.ns_uri == DSIG_NS:
-            signature_element = child
-            break
     permission_file = None
     prf_el = root.first_child("permissionrequestfile", MHP_PERMISSION_NS)
     if prf_el is not None:
@@ -89,6 +88,5 @@ def parse_package(data: bytes | str | Element, *,
     return PackageView(
         root=root,
         manifest_element=manifest_element,
-        signature_element=signature_element,
         permission_file=permission_file,
     )

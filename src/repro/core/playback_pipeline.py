@@ -3,12 +3,12 @@
 Order of operations on reception:
 
 1. parse the package;
-2. **verify** the signature — references carrying the Decryption
-   Transform are digested over the *decrypted* regions (minus the
-   ``dcrpt:Except`` ones), so sign-then-encrypt packages validate;
-3. if the player's policy requires a trusted signer and verification
-   fails, the application is **barred** (Fig 3);
-4. **decrypt** everything decryptable for execution;
+2. **verify** every root signature — references carrying the
+   Decryption Transform are digested over the *decrypted* regions
+   (minus the ``dcrpt:Except`` ones): sign-then-encrypt validates;
+3. under a require-signature policy, an application whose signatures
+   fail or do not cover its manifest is **barred** (Fig 3);
+4. **decrypt** the manifest for execution;
 5. evaluate the permission request file against the platform policy —
    trust-gated permissions are only granted to verified applications.
 """
@@ -19,22 +19,25 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.certs.store import TrustStore
-from repro.core.package import PackageView, parse_package
+from repro.core.package import PackageView, package_manifest, parse_package
 from repro.disc.manifest import ApplicationManifest
+from repro.dsig.reference import outside_signatures
 from repro.dsig.verifier import VerificationReport, Verifier
 from repro.errors import (
     ApplicationRejectedError, DecryptionError, DiscFormatError,
-    NetworkError, ResourceLimitExceeded, XKMSError,
+    NetworkError, ResourceLimitExceeded, XKMSError, XMLError,
 )
 from repro.perf import metrics
+from repro.perf.batch import BatchOutcome, BatchVerifier
 from repro.permissions.request_file import (
-    GrantSet, PlatformPermissionPolicy,
+    GrantSet, PermissionRequestFile, PlatformPermissionPolicy,
 )
 from repro.primitives.keys import RSAPrivateKey, SymmetricKey
 from repro.primitives.provider import CryptoProvider, get_provider
 from repro.resilience.degradation import DegradationEvent, DegradationLog
 from repro.resilience.limits import ResourceGuard, ResourceLimits
-from repro.xmlcore import DISC_NS
+from repro.xmlcore import XMLENC_NS
+from repro.xmlcore.tree import Element
 from repro.xmlenc.decryptor import Decryptor
 
 
@@ -53,6 +56,45 @@ class VerifiedApplication:
     def degraded(self) -> bool:
         """True when trust was downgraded by infrastructure failure."""
         return bool(self.degradations)
+
+
+def find_manifest(root: Element, decryptor: Decryptor,
+                  pick: Callable[[Element], Element | None]
+                  ) -> tuple[Element, Element] | None:
+    """The manifest *pick* finds in *root*, and the element of *root*
+    judged for it: itself, or the EncryptedData it is decrypted from."""
+    found = pick(root)
+    if found is not None:
+        return found, found
+    for encrypted in outside_signatures(root):
+        if not encrypted.matches("EncryptedData", XMLENC_NS):
+            continue
+        plaintext = Element("plaintext")
+        plaintext.append(encrypted.copy())
+        decryptor.decrypt_in_place(plaintext)
+        found = pick(plaintext)
+        if found is not None:
+            return found, encrypted
+    return None
+
+
+def bar_uncovered(trust: BatchOutcome, judged: Element, name: str,
+                  source: str) -> None:
+    """Bar application *name* unless a *source* signature covers
+    *judged* (the wrapping defence)."""
+    if trust.covers(judged):
+        return
+    if trust.covers_part_of(judged):
+        raise ApplicationRejectedError(
+            f"application {name!r} is not covered by a {source} "
+            "signature as a whole: only parts of it are signed, below "
+            f"manifest level (a {source} signed at that level, or "
+            "signed parts moved into it)"
+        )
+    raise ApplicationRejectedError(
+        f"application {name!r} is not covered by any {source} "
+        "signature (wrapping attack suspected)"
+    )
 
 
 @dataclass
@@ -124,12 +166,25 @@ class PlaybackPipeline:
         return Decryptor(keys=self.key_slots, rsa_key=self.device_key,
                          provider=self.provider, guard=guard)
 
+    def verify_root(self, root: Element, *, resolver=None,
+                    key_locator=None,
+                    guard: ResourceGuard | None = None) -> BatchOutcome:
+        """The one verify-and-coverage pass over a package or cluster."""
+        verifier = Verifier(
+            trust_store=self.trust_store, require_trusted_key=True,
+            resolver=resolver, key_locator=key_locator,
+            provider=self.provider, now=self.now, guard=guard,
+        )
+        return BatchVerifier(verifier).verify_all(
+            root, decryptor=self._decryptor(guard),
+        )
+
     def open_package(self, data: bytes | str) -> VerifiedApplication:
         """Verify and unlock a package; raises if the player must bar it.
 
-        Every region the player's keys can decrypt is decrypted for
-        execution, ``dcrpt:Except`` regions included (the signature
-        covered their ciphertext).
+        Trusted when every root signature verifies and one covers the
+        manifest, which is decrypted for execution, ``dcrpt:Except``
+        regions included (the signature covered their ciphertext).
 
         Raises:
             ApplicationRejectedError: unsigned/invalid application under
@@ -141,7 +196,6 @@ class PlaybackPipeline:
             return self._open_package(data)
 
     def _open_package(self, data: bytes | str) -> VerifiedApplication:
-        from repro.errors import XMLError
         guard = ResourceGuard(self.limits)
         try:
             view = parse_package(data, guard=guard)
@@ -158,60 +212,59 @@ class PlaybackPipeline:
                 f"package is not well-formed XML (corrupted or "
                 f"tampered): {exc}"
             ) from None
-        decryptor = self._decryptor(guard)
-        report: VerificationReport | None = None
-        signer_subject: str | None = None
-        trusted = False
         infra_events: list[DegradationEvent] = []
-
-        if view.signature_element is not None:
-            verifier = Verifier(
-                trust_store=self.trust_store, require_trusted_key=True,
-                key_locator=self._guarded_locator(infra_events),
-                provider=self.provider, now=self.now, guard=guard,
-            )
-            report = verifier.verify(view.signature_element,
-                                     decryptor=decryptor)
-            trusted = report.valid
-            signer_subject = report.signer_subject
-            if self.require_signature and not trusted:
-                # Degrade, don't crash, when the *infrastructure* — not
-                # the signature — failed: the trust service was
-                # unreachable and nothing proved tampering (no reference
-                # digest mismatched).  The application runs untrusted
-                # with the reason recorded; trust-gated permissions stay
-                # denied.  Any positive evidence of tampering still bars.
-                evidence_of_tampering = any(
-                    not r.valid for r in report.references
+        trust = self.verify_root(
+            view.root, key_locator=self._guarded_locator(infra_events),
+            guard=guard,
+        )
+        if self.require_signature and not trust.authenticated:
+            if not trust.signatures:
+                raise ApplicationRejectedError(
+                    "unsigned application barred by player policy"
                 )
-                if not (infra_events and not evidence_of_tampering):
-                    if guard.trips:
-                        # The signature failed because a resource quota
-                        # fired mid-verification (e.g. a decrypt bomb
-                        # behind a Decryption Transform): put the real
-                        # reason on the log before barring.
-                        self.degradation.record("package", "verify",
-                                                guard.trips[-1])
-                    raise ApplicationRejectedError(
-                        "signature verification failed; application "
-                        "barred: " + "; ".join(
-                            ([report.error] if report.error else [])
-                            + [r.error for r in report.references
-                               if not r.valid]
-                        )
+            # Degrade, don't crash, when the *infrastructure* — not a
+            # signature — failed: the trust service was unreachable and
+            # nothing proved tampering (no reference of any signature or
+            # signed ds:Manifest failed).  The application runs
+            # untrusted with the reason recorded; trust-gated
+            # permissions stay denied.  Any evidence of tampering bars.
+            invalid = [result for report in trust.signatures.values()
+                       for result in report.references if not result.valid]
+            invalid += [result for check in trust.manifest_validations.values()
+                        for result in check.results if not result.valid]
+            if not infra_events or invalid:
+                if guard.trips:
+                    # A signature failed because a resource quota fired
+                    # mid-verification (e.g. a decrypt bomb behind a
+                    # Decryption Transform): put the real reason on the
+                    # log before barring.
+                    self.degradation.record("package", "verify",
+                                            guard.trips[-1])
+                raise ApplicationRejectedError(
+                    "signature verification failed; application "
+                    "barred: " + "; ".join(
+                        [report.error for report in trust.signatures.values()
+                         if report.error]
+                        + [result.error for result in invalid]
                     )
-        elif self.require_signature:
-            raise ApplicationRejectedError(
-                "unsigned application barred by player policy"
-            )
+                )
 
-        # Unlock for execution.  A decrypt bomb (plaintext quota or
-        # expansion-ratio trip) bars the package like any other
-        # resource attack, and so does code that does not decrypt for
-        # this player (sealed to another device key): either way the
-        # decision goes on the degradation log.
+        # Judge the manifest on the verified tree, then unlock it.  A
+        # decrypt bomb (plaintext quota or expansion-ratio trip) bars
+        # the package, and so does code sealed to another device key:
+        # either way the decision goes on the degradation log.
+        decryptor = trust.decryptor
         try:
-            decryptor.decrypt_in_place(view.root)
+            found = find_manifest(view.root, decryptor, package_manifest)
+            if found is None:
+                raise DiscFormatError(
+                    "package contains no manifest after decryption"
+                )
+            manifest_element, judged = found
+            if self.require_signature and trust.authenticated:
+                bar_uncovered(trust, judged, manifest_element.get("name"),
+                              "package")
+            decryptor.decrypt_in_place(manifest_element)
         except ResourceLimitExceeded as exc:
             self.degradation.record("package", "decrypt", exc)
             raise ApplicationRejectedError(
@@ -223,28 +276,17 @@ class PlaybackPipeline:
             raise ApplicationRejectedError(
                 f"package does not decrypt for this player: {exc}"
             ) from None
-        manifest_element = view.root.first_child("manifest", DISC_NS) \
-            or view.root.find("manifest", DISC_NS) \
-            or view.root.find("manifest")
-        if manifest_element is None:
-            raise DiscFormatError(
-                "package contains no manifest after decryption"
-            )
-        manifest = ApplicationManifest.from_element(manifest_element)
 
-        grants = self._grants(view, trusted)
+        trusted = trust.covers(judged)
+        report = next(iter(trust.signatures.values()), None)  # the first
         return VerifiedApplication(
-            manifest=manifest, grants=grants, trusted=trusted,
-            report=report, signer_subject=signer_subject,
-            degradations=infra_events,
+            manifest=ApplicationManifest.from_element(manifest_element),
+            grants=self._grants(view, trusted), trusted=trusted,
+            report=report, degradations=infra_events,
+            signer_subject=report.signer_subject if report else None,
         )
 
     def _grants(self, view: PackageView, trusted: bool) -> GrantSet:
-        if view.permission_file is None:
-            from repro.permissions.request_file import (
-                PermissionRequestFile,
-            )
-            empty = PermissionRequestFile(app_id="unknown", org_id="")
-            return self.permission_policy.decide(empty, trusted=trusted)
-        return self.permission_policy.decide(view.permission_file,
-                                             trusted=trusted)
+        request = view.permission_file or PermissionRequestFile(
+            app_id="unknown", org_id="")
+        return self.permission_policy.decide(request, trusted=trusted)

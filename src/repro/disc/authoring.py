@@ -23,9 +23,6 @@ from repro.disc.tsgen import TS_PACKET_SIZE, generate_transport_stream
 from repro.primitives.random import RandomSource, default_random
 from repro.xmlcore import serialize_bytes
 
-# Rough default: ~24 Mbit/s HD stream → packets per second.
-_PACKETS_PER_SECOND = 24_000_000 // (8 * TS_PACKET_SIZE)
-
 
 @dataclass
 class DiscAuthor:

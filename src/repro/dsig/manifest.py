@@ -3,10 +3,11 @@
 A ``ds:Manifest`` is a list of references whose digests are *not* part
 of core validation: the signature covers the manifest element itself,
 and "the application decides" how many of the manifest's references
-must validate.  That is precisely the paper's selective-verification
-story (Fig 4/5): a disc can carry one signature over a manifest listing
-every track, and the player checks only the tracks it is about to use —
-a broken bonus track need not invalidate the main feature.
+must validate.  That is the paper's selective-verification story (Fig
+4/5): a disc can carry one signature over a manifest listing every
+track, and the FIG4 bench checks only the entries in *only_uris*.  The
+player checks every entry at insert: one invalid entry leaves the disc
+unauthenticated.
 
 Usage::
 
@@ -127,8 +128,8 @@ def validate_manifest_references(signature: Element, *,
     Core validation (``Verifier.verify``) establishes that the manifest
     lists are authentic; this function then checks the per-target
     digests of every manifest :func:`signed_manifests` names (the
-    entries :func:`signature_coverage` counts) — all of them, or just
-    *only_uris* (the player checks what it is about to use).  Digests
+    entries :func:`signature_coverage` counts) — all of them (the
+    player checks every one at insert), or just *only_uris*.  Digests
     of pure-canonicalization same-document targets are served from
     *cache* (the process-wide C14N/digest cache by default), so
     selective checks repeated at playback time do not re-canonicalize

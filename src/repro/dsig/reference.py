@@ -338,6 +338,18 @@ def top_element(node: Element) -> Element:
     return node
 
 
+def outside_signatures(root: Element) -> Iterator[Element]:
+    """*root* and its descendant elements in document order, less each
+    ds:Signature subtree, which no application is looked up in: an
+    enveloped-signature transform leaves it out of the digest."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.matches("Signature", DSIG_NS):
+            yield node
+            stack.extend(reversed(node.child_elements()))
+
+
 def signature_coverage(signature: Element
                        ) -> Iterator[tuple[Element, Element | None]]:
     """The one coverage rule, read by the player and the auditor.

@@ -115,10 +115,6 @@ class SignatureError(ReproError):
     """Base class for XMLDSig processing errors."""
 
 
-class SignatureFormatError(SignatureError):
-    """Raised when Signature markup is structurally invalid."""
-
-
 class ReferenceError_(SignatureError):
     """Raised when a ds:Reference cannot be dereferenced."""
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from repro.errors import ScriptRuntimeError
 from repro.markup.script_parser import parse_script
 
-_UNDEFINED = object()   # distinguish "no value" from null (None)
-
 #: Deepest chain of script function calls.  Together with the parser's
 #: ``MAX_DEPTH`` it keeps a script's recursion well inside Python's
 #: stack, so a runaway recursion fails with a ScriptRuntimeError.

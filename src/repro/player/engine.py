@@ -162,17 +162,18 @@ class InteractiveApplicationEngine:
                       presentation: Presentation) -> dict[str, HostObject]:
         app_id = session.grants.app_id
 
-        def guarded(op_name: str, permission: str, host=None):
-            def check():
+        def storage_gate(name: str, method):
+            # The one local-storage check; it records a refusal.
+            def call(key, *args):
                 try:
-                    session.grants.check(permission, host=host)
+                    session.grants.check(PERM_LOCAL_STORAGE)
                 except PermissionDeniedError:
-                    session.denied_ops.append(op_name)
+                    session.denied_ops.append(f"storage.{name}({key})")
                     raise
-            return check
+                return method(key, *args)
+            return call
 
         def storage_write(key, value):
-            guarded(f"storage.write({key})", PERM_LOCAL_STORAGE)()
             payload = _to_bytes(value)
             grant = session.grants.grant(PERM_LOCAL_STORAGE)
             if grant is not None and grant.quota_bytes:
@@ -186,7 +187,6 @@ class InteractiveApplicationEngine:
             session.storage_ops.append(f"write:{key}")
 
         def storage_write_secure(key, value):
-            guarded(f"storage.writeSecure({key})", PERM_LOCAL_STORAGE)()
             if self.storage_key is None:
                 raise PermissionDeniedError(
                     "player has no storage encryption key"
@@ -197,7 +197,6 @@ class InteractiveApplicationEngine:
             session.storage_ops.append(f"writeSecure:{key}")
 
         def storage_read(key):
-            guarded(f"storage.read({key})", PERM_LOCAL_STORAGE)()
             session.storage_ops.append(f"read:{key}")
             try:
                 blob = self.storage.read(app_id, str(key))
@@ -242,10 +241,12 @@ class InteractiveApplicationEngine:
             ),
         }, properties={"model": self.model})
         storage = HostObject("storage", methods={
-            "write": storage_write,
-            "writeSecure": storage_write_secure,
-            "read": storage_read,
-            "remove": lambda key: self.storage.delete(app_id, str(key)),
+            name: storage_gate(name, method) for name, method in {
+                "write": storage_write,
+                "writeSecure": storage_write_secure,
+                "read": storage_read,
+                "remove": lambda key: self.storage.delete(app_id, str(key)),
+            }.items()
         })
         network = HostObject("network", methods={"get": network_get})
         presentation_host = HostObject("presentation", methods={

@@ -16,17 +16,20 @@ Combines the engine with disc handling and the download path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.certs.store import TrustStore
-from repro.core.playback_pipeline import PlaybackPipeline, VerifiedApplication
-from repro.core.granularity import verify_signatures
+from repro.core.playback_pipeline import (
+    PlaybackPipeline, VerifiedApplication, bar_uncovered, find_manifest,
+)
 from repro.disc.hierarchy import InteractiveCluster
 from repro.disc.image import DiscImage
 from repro.disc.manifest import ApplicationManifest
+from repro.dsig.reference import outside_signatures
 from repro.errors import ApplicationRejectedError, DiscError, PlayerError
 from repro.markup.smil import ScheduledItem
 from repro.network.server import DownloadClient
+from repro.perf.batch import BatchOutcome
 from repro.permissions.request_file import (
     PermissionRequestFile, PlatformPermissionPolicy,
 )
@@ -40,40 +43,31 @@ from repro.xmlcore import DISC_NS
 
 @dataclass
 class DiscSession:
-    """State of an inserted disc."""
+    """State of an inserted disc; *authenticated* is *trust*'s
+    decision, taken at insert."""
 
     image: DiscImage
     cluster: InteractiveCluster
     cluster_element: object
+    trust: BatchOutcome
     authenticated: bool
-    signature_reports: dict = field(default_factory=dict)
-    manifest_validations: dict = field(default_factory=dict)
-    # Signature coverage on an authenticated disc, by the one rule of
-    # :func:`repro.dsig.reference.signature_coverage`: the Ids whose
-    # subtrees the signatures and manifest entries vouch for, and
-    # whether one vouches for the whole document.  Used to defeat
-    # signature wrapping: injected content that no signature covers
-    # must not run as trusted.
-    signed_ids: set = field(default_factory=set)
-    whole_document_signed: bool = False
+
+    signature_reports = property(lambda self: self.trust.reports)
+    manifest_validations = property(
+        lambda self: self.trust.manifest_validations)
+    whole_document_signed = property(
+        lambda self: self.trust.covers(self.cluster_element))
+
+    @property
+    def signed_ids(self) -> set[str]:
+        """The Ids of the covered elements below the cluster root."""
+        return {value for target in self.trust.covered
+                if target is not self.cluster_element
+                for value in target.id_values()}
 
     def covers(self, element) -> bool:
-        """True if *element* is inside a signed region of this disc."""
-        if self.whole_document_signed:
-            return True
-        from repro.xmlcore.tree import Element
-        node = element
-        while isinstance(node, Element):
-            if not self.signed_ids.isdisjoint(node.id_values()):
-                return True
-            node = node.parent
-        return False
-
-    def covers_part_of(self, element) -> bool:
-        """True if *element* or an element inside it is in a signed
-        region of this disc."""
-        return any(not self.signed_ids.isdisjoint(node.id_values())
-                   for node in element.iter())
+        """:meth:`BatchOutcome.covers` on this disc's cluster."""
+        return self.trust.covers(element)
 
 
 @dataclass
@@ -146,15 +140,8 @@ class DiscPlayer:
     # -- disc handling ---------------------------------------------------------------
 
     def insert_disc(self, image: DiscImage) -> DiscSession:
-        """Load a disc and authenticate it (verify cluster signatures).
-
-        Every signature under the cluster root is verified in document
-        order against the whole cluster document
-        (:func:`verify_signatures`).  The disc is authenticated only
-        if every one is valid, whatever their order; the digests land
-        in the C14N/digest cache, which later selective per-track
-        checks at playback time then hit.
-        """
+        """Load a disc and authenticate it: every cluster signature and
+        every entry of the ds:Manifests they sign must be valid."""
         from repro.perf import metrics
         with metrics.timer("player.insert_disc"):
             return self._insert_disc(image)
@@ -165,56 +152,8 @@ class DiscPlayer:
             raise DiscError(
                 "disc rejected: " + "; ".join(problems)
             )
-        from repro.dsig.verifier import Verifier
-        verifier = Verifier(
-            trust_store=self.trust_store, require_trusted_key=True,
-            resolver=image.resolver, provider=self.provider, now=self.now,
-        )
-        reports = verify_signatures(
-            cluster_element, verifier, decryptor=self.pipeline._decryptor(),
-        )
-        authenticated = bool(reports) and all(
-            report.valid for report in reports.values()
-        )
-        from repro.dsig.manifest import validate_manifest_references
-        from repro.dsig.reference import (
-            signature_coverage, signed_manifests,
-        )
-        from repro.xmlcore import DSIG_NS
-        signatures = [child for child in cluster_element.child_elements()
-                      if child.matches("Signature", DSIG_NS)]
-        # Manifest-signed discs (ds:Manifest): core validation covered
-        # the reference list; check the listed entries too for full
-        # disc authentication.  (Applications may additionally do
-        # selective per-track checks at playback time.)
-        manifest_validations = {}
-        if authenticated:
-            for signature in signatures:
-                if not signed_manifests(signature):
-                    continue
-                validation = validate_manifest_references(
-                    signature, resolver=image.resolver,
-                    decryptor=self.pipeline._decryptor(),
-                    provider=self.provider,
-                )
-                manifest_validations[signature.get("Id") or "?"] = \
-                    validation
-                if not validation.all_valid:
-                    authenticated = False
-        # Signature coverage map (wrapping defence).  On an
-        # authenticated disc every signature has verified, and so has
-        # every entry of the manifests it signs: the entries checked
-        # above and the entries the map reads are those of the same
-        # signed_manifests, so the map is what they vouch for.
-        signed_ids: set[str] = set()
-        whole_document_signed = False
-        if authenticated:
-            for signature in signatures:
-                for reference, target in signature_coverage(signature):
-                    if target is cluster_element:
-                        whole_document_signed = True
-                    elif target is not None:
-                        signed_ids.add(reference.get("URI")[1:])
+        trust = self.pipeline.verify_root(cluster_element,
+                                          resolver=image.resolver)
         # Resolve clip durations for the scheduler.
         durations: dict[str, float] = {}
         extension = image.layout.clipinfo_extension
@@ -227,16 +166,10 @@ class DiscPlayer:
         self.engine.clip_durations = durations
         self._session = DiscSession(
             image=image, cluster=cluster,
-            cluster_element=cluster_element,
-            authenticated=authenticated, signature_reports=reports,
-            manifest_validations=manifest_validations,
-            signed_ids=signed_ids,
-            whole_document_signed=whole_document_signed,
+            cluster_element=cluster_element, trust=trust,
+            authenticated=trust.authenticated,
         )
         return self._session
-
-    def eject(self) -> None:
-        self._session = None
 
     @property
     def disc(self) -> DiscSession:
@@ -282,8 +215,9 @@ class DiscPlayer:
                                 ) -> ApplicationSession:
         """Launch an application authored on the disc.
 
-        Trust follows §5.1: authenticated disc ⇒ trusted application.
-        Encrypted manifests are unlocked with the player's key slots.
+        Trust follows §5.1: authenticated disc ⇒ trusted application,
+        when a disc signature covers it (DESIGN §3).  Encrypted
+        manifests are unlocked with the player's key slots.
         """
         session = self.disc
         if not session.authenticated \
@@ -291,44 +225,21 @@ class DiscPlayer:
             raise ApplicationRejectedError(
                 "disc is not authenticated; applications barred"
             )
-        cluster_element = session.cluster_element
-        manifest_element = None
-        for candidate in cluster_element.iter("manifest", DISC_NS):
-            if candidate.get("name") == name:
-                manifest_element = candidate
-                break
-        if manifest_element is None:
-            # The manifest may be encrypted: decrypt a working copy.
-            working = cluster_element.copy()
-            self.pipeline._decryptor().decrypt_in_place(working)
-            for candidate in working.iter("manifest", DISC_NS):
-                if candidate.get("name") == name:
-                    manifest_element = candidate
-                    break
-        if manifest_element is None:
+        decryptor = self.pipeline._decryptor()
+        found = find_manifest(
+            session.cluster_element, decryptor,
+            lambda root: next((candidate for candidate
+                               in outside_signatures(root)
+                               if candidate.matches("manifest", DISC_NS)
+                               and candidate.get("name") == name), None),
+        )
+        if found is None:
             raise PlayerError(f"disc has no application named {name!r}")
-        if session.authenticated and not session.covers(manifest_element):
-            # The disc authenticates, but THIS manifest is outside every
-            # signed region.  Bar it.  With signed parts inside it, the
-            # disc was signed below manifest level (CODE, SCRIPT ...),
-            # which vouches for no whole application, or signed parts
-            # were moved in from another application: an ``#id``
-            # reference still finds them, so the two cannot be told
-            # apart here.  With none it is injected content riding an
-            # otherwise-valid disc (signature wrapping).
-            if session.covers_part_of(manifest_element):
-                raise ApplicationRejectedError(
-                    f"application {name!r} is not covered by a disc "
-                    "signature as a whole: only parts of it are signed, "
-                    "below manifest level (a disc signed at that level, "
-                    "or signed parts moved into it)"
-                )
-            raise ApplicationRejectedError(
-                f"application {name!r} is not covered by any disc "
-                "signature (wrapping attack suspected)"
-            )
+        manifest_element, judged = found
+        if session.authenticated:
+            bar_uncovered(session.trust, judged, name, "disc")
         working_manifest = manifest_element.detached_copy()
-        self.pipeline._decryptor().decrypt_in_place(working_manifest)
+        decryptor.decrypt_in_place(working_manifest)
         manifest = ApplicationManifest.from_element(working_manifest)
 
         permission_file = self._disc_permission_file(session, name)

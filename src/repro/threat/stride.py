@@ -138,11 +138,13 @@ THREAT_CATALOG: tuple[Threat, ...] = (
     Threat(
         "T13", StrideCategory.SPOOFING, "signed disc content",
         "Signature wrapping: injected content rides an otherwise "
-        "authentic disc — granular signatures still verify, but the "
-        "player is steered to execute an element no signature covers.",
+        "authentic disc or package — granular signatures still "
+        "verify, but the player is steered to execute an element no "
+        "signature covers.",
         Requirement.AUTHENTICATION_INTEGRITY,
-        ("repro.player.DiscSession.covers",
-         "repro.player.DiscPlayer.launch_disc_application"),
+        ("repro.perf.batch.BatchOutcome.covers",
+         "repro.player.DiscPlayer.launch_disc_application",
+         "repro.core.PlaybackPipeline.open_package"),
     ),
     Threat(
         "T12", StrideCategory.SPOOFING, "content server",

@@ -26,10 +26,6 @@ class PDP:
     policies: list[Policy] = field(default_factory=list)
     policy_combining: str = DENY_OVERRIDES
 
-    def add_policy(self, policy: Policy) -> Policy:
-        self.policies.append(policy)
-        return policy
-
     def evaluate_policy(self, policy: Policy, request: Request) -> Decision:
         if not policy.target.applies(request):
             return Decision.NOT_APPLICABLE

@@ -150,10 +150,7 @@ class TrustServer:
 
     def handle(self, request: XKMSRequest) -> XKMSResult:
         """Process one XKMS request."""
-        with self._lock:
-            self.audit_log.append(
-                f"{request.operation}:{request.key_name}"
-            )
+        self._audit(f"{request.operation}:{request.key_name}")
         handler = {
             "Locate": self._locate,
             "Validate": self._validate,
@@ -173,32 +170,42 @@ class TrustServer:
         failure result (``Sender`` fault), and internal failures as a
         ``Receiver`` fault.
         """
-        guard = ResourceGuard(self.limits)
+        parsed = self.parse(request_xml, self.limits)
+        if isinstance(parsed, XKMSRequest):
+            parsed = self.answer(parsed)
+        return parsed.to_xml()
+
+    def parse(self, request_xml: str | bytes,
+              limits: ResourceLimits) -> XKMSRequest | XKMSResult:
+        """Parse one request under a fresh guard over *limits*; a
+        malformed, oversized or hostile one is audited and answered
+        with a ``Sender`` fault."""
         try:
-            request = XKMSRequest.from_xml(request_xml, guard=guard)
+            return XKMSRequest.from_xml(request_xml,
+                                        guard=ResourceGuard(limits))
         except (XMLError, XKMSError, ResourceLimitExceeded) as exc:
             # Audit the exception *type* only: the message text can
             # quote attacker bytes or (for crypto failures) values
             # derived from key material, and the audit log is readable
             # by operators outside the crypto layer (TNT203).
-            with self._lock:
-                self.audit_log.append(
-                    f"malformed-request:{type(exc).__name__}"
-                )
-            return XKMSResult(
-                "Status", RESULT_SENDER_FAULT,
-            ).to_xml()
+            self._audit(f"malformed-request:{type(exc).__name__}")
+            return XKMSResult("Status", RESULT_SENDER_FAULT)
+
+    def answer(self, request: XKMSRequest) -> XKMSResult:
+        """:meth:`handle`'s result, or an audited ``Receiver`` fault
+        when the responder fails."""
         try:
-            return self.handle(request).to_xml()
+            return self.handle(request)
         except XKMSError as exc:
-            with self._lock:
-                self.audit_log.append(
-                    f"request-failed:{type(exc).__name__}"
-                )
+            self._audit(f"request-failed:{type(exc).__name__}")
             return XKMSResult(
                 request.operation, RESULT_RECEIVER_FAULT,
                 request_id=request.request_id,
-            ).to_xml()
+            )
+
+    def _audit(self, line: str) -> None:
+        with self._lock:
+            self.audit_log.append(line)
 
     # -- operations ---------------------------------------------------------------------
 

@@ -27,13 +27,11 @@ import threading
 import zlib
 from dataclasses import dataclass
 
-from repro.errors import (
-    ResourceLimitExceeded, XKMSError, XMLError,
-)
+from repro.errors import XKMSError
 from repro.network.server import MuxFrame, RequestContext
-from repro.resilience.limits import ResourceGuard, ResourceLimits
+from repro.resilience.limits import ResourceLimits
 from repro.xkms.messages import (
-    RESULT_RECEIVER_FAULT, RESULT_SENDER_FAULT, XKMSRequest, XKMSResult,
+    RESULT_RECEIVER_FAULT, XKMSRequest, XKMSResult,
 )
 from repro.xkms.server import TrustServer
 
@@ -183,17 +181,10 @@ class AsyncTrustService:
         with a ``Receiver`` fault.  Only overload/timeout conditions
         propagate (typed), for the transport to answer as busy faults.
         """
-        guard = ResourceGuard(self.limits)
-        try:
-            request = XKMSRequest.from_xml(payload, guard=guard)
-        except (XMLError, XKMSError, ResourceLimitExceeded) as exc:
-            shard = self.shards[0]
-            with shard._lock:
-                shard.audit_log.append(
-                    f"malformed-request:{type(exc).__name__}")
-            return XKMSResult(
-                "Status", RESULT_SENDER_FAULT,
-            ).to_xml().encode("utf-8")
+        # Malformed requests are audited on the first shard.
+        request = self.shards[0].parse(payload, self.limits)
+        if isinstance(request, XKMSResult):
+            return request.to_xml().encode("utf-8")
         await self._checkpoint(context, "route")
         name = request.key_name or (
             request.binding.key_name if request.binding else "")
@@ -206,17 +197,10 @@ class AsyncTrustService:
                                 list(bindings),
                                 request_id=request.request_id)
             return result.to_xml().encode("utf-8")
-        shard = self.shards[index]
-        try:
-            result = shard.handle(request)
-        except XKMSError as exc:
-            with shard._lock:
-                shard.audit_log.append(
-                    f"request-failed:{type(exc).__name__}")
-            return XKMSResult(
-                request.operation, RESULT_RECEIVER_FAULT,
-                request_id=request.request_id,
-            ).to_xml().encode("utf-8")
+        result = self.shards[index].answer(request)
+        if result.result_major == RESULT_RECEIVER_FAULT:
+            # The shard failed: answer at once and cache nothing.
+            return result.to_xml().encode("utf-8")
         await self._checkpoint(context, "respond")
         self._cache_put(cache_key, result)
         return result.to_xml().encode("utf-8")

@@ -66,13 +66,6 @@ class Node:
             node.revision = stamp
             node = node.parent
 
-    def root_document(self) -> "Document | None":
-        """Walk to the owning :class:`Document`, if any."""
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node if isinstance(node, Document) else None
-
     def copy(self) -> "Node":
         """Deep-copy this node (parent link cleared)."""
         raise NotImplementedError
@@ -399,11 +392,16 @@ class Element(Node):
     def text_content(self) -> str:
         """Concatenated character data of all descendant text nodes."""
         parts = []
-        for child in self.children:
-            if isinstance(child, Text):
-                parts.append(child.data)
-            elif isinstance(child, Element):
-                parts.append(child.text_content())
+        stack = [iter(self.children)]  # as in iter: no recursion
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Text):
+                    parts.append(child.data)
+                elif isinstance(child, Element):
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
         return "".join(parts)
 
     def element_by_id(self, value: str) -> "Element | None":

@@ -16,7 +16,7 @@ from repro.primitives.random import DeterministicRandomSource
 from repro.primitives.rsa import generate_keypair
 from repro.threat import inject_script, strip_signature, \
     tamper_package_bytes
-from repro.xmlcore import parse_element
+from repro.xmlcore import DSIG_NS, parse_element
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +83,10 @@ def test_encrypt_before_sign_except_list(authoring, playback):
         manifest, pre_encrypt_ids=(manifest.code_id,),
     )
     assert package.pre_encrypted_ids == [f"enc-{manifest.code_id}"]
-    view = parse_package(package.data)
-    transforms = view.signature_element.find("Transform")
+    signature = parse_package(package.data).root.first_child(
+        "Signature", DSIG_NS)
+    assert signature.find("Except").get("URI") == \
+        f"#enc-{manifest.code_id}"
     application = playback.open_package(package.data)
     assert application.trusted
     assert "secretAlgorithm" in application.manifest.scripts[0].source
@@ -207,7 +209,7 @@ def test_package_view_parsing(authoring):
         manifest, permission_file=permission_file(),
     )
     view = parse_package(package.data)
-    assert view.is_signed
+    assert view.root.first_child("Signature", DSIG_NS) is not None
     assert view.manifest().name == "bonus-game"
     assert view.permission_file.app_id == "bonus-game"
     assert view.to_bytes()

@@ -12,7 +12,7 @@ from repro.disc import ApplicationManifest, DiscAuthor
 from repro.dsig import Signer
 from repro.player import DiscPlayer
 from repro.threat import corrupt_stream
-from repro.xmlcore import parse_element, serialize_bytes
+from repro.xmlcore import DSIG_NS, parse_element, serialize_bytes
 
 
 def test_profiles_are_named_and_unique():
@@ -99,7 +99,7 @@ def test_build_package_element_shape():
     package = build_package_element(manifest.to_element(), None)
     assert package.get("Id") == PACKAGE_ID
     view = parse_package(serialize_bytes(package))
-    assert not view.is_signed
+    assert view.root.first_child("Signature", DSIG_NS) is None
     assert view.permission_file is None
     assert view.manifest().name == "p"
 

@@ -82,6 +82,35 @@ def test_storage_remove(pki, trust_store, device_key, rng):
     assert session.console == ["gone"]
 
 
+
+def test_storage_remove_needs_the_local_storage_grant(pki, trust_store,
+                                                     device_key, rng):
+    """An untrusted application holds no local-storage grant; its
+    permission file claims another application's id, yet neither its
+    write nor its remove reaches that application's stored value."""
+    storage = LocalStorage()
+    storage.write("game", "score", b"120")
+    manifest = ApplicationManifest("intruder")
+    manifest.add_submarkup("layout", parse_element(LAYOUT))
+    manifest.add_script('function write() { storage.write("score", 0); }'
+                        'function wipe() { storage.remove("score"); }')
+    package = AuthoringPipeline(
+        pki.studio, recipient_key=device_key.public_key(), rng=rng,
+    ).build_package(manifest, sign=False,
+                    permission_file=PermissionRequestFile("game", "org.x"))
+    engine = InteractiveApplicationEngine(PlaybackPipeline(
+        trust_store=trust_store, device_key=device_key,
+        require_signature=False,
+    ), storage=storage)
+    session = engine.execute(engine.load_package(package.data))
+    assert not session.trusted
+    for handler in ("write", "wipe"):
+        with pytest.raises(PermissionDeniedError):
+            session.dispatch(handler)
+    assert session.denied_ops == ["storage.write(score)",
+                                  "storage.remove(score)"]
+    assert storage.read("game", "score") == b"120"
+
 def test_write_secure_without_player_key(pki, trust_store, device_key,
                                          rng):
     package = build(pki, device_key, rng,

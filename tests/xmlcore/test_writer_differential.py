@@ -18,7 +18,9 @@ element children (the ``pretty`` block layout) and mixed content.
 * ``Element.iter`` visits in document order, and what it visits when
   the caller replaces, removes or inserts nodes mid-walk is pinned.
 * A tree 5000 elements deep, reachable only with a loosened depth
-  quota, walks, copies and serializes.
+  quota, walks, copies, serializes and reads its text.
+* ``Element.text_content`` reads every element as the recursive
+  concatenation of its descendant text nodes did.
 
 The pins were recorded from the recursive serializer, the
 per-element namespace computation of the canonicalizer, the
@@ -500,6 +502,28 @@ def test_deep_tree_walks_copies_and_serializes():
         b'<?xml version="1.0" encoding="UTF-8"?>' + source.encode()
     assert canonicalize(clone) == source.encode()
 
+
+
+def recursive_text(node: Element) -> str:
+    """``text_content`` as it was written before: a recursion over
+    child elements."""
+    return "".join(child.data if isinstance(child, Text)
+                   else recursive_text(child)
+                   for child in node.children
+                   if isinstance(child, (Text, Element)))
+
+
+def test_text_content_matches_the_recursive_reading(trees):
+    for tree in trees:
+        for node in elements(tree):
+            assert node.text_content() == recursive_text(node)
+
+
+def test_deep_tree_reads_its_text():
+    source = "<d>" * DEEP + "x" + "<e>y</e>" + "</d>" * DEEP
+    guard = ResourceGuard(ResourceLimits(max_element_depth=None))
+    root = parse_document(source, guard=guard).root
+    assert root.text_content() == "xy"
 
 # -- the local-name memo -------------------------------------------------------
 
